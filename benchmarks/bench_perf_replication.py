@@ -25,6 +25,9 @@ tail, then stays current on the in-process commit feed.  The report covers:
 * **replication lag** — after a 500-record write burst the hub reports the
   followers' lag in generations, and one ``catch_up_all`` ships the whole
   burst within the bound (< 250 ms) and returns the lag to zero;
+* **incremental catch-up** — the burst and ten more write → ship → read
+  rounds fold into the follower's live caches: its lifetime
+  ``snapshot_builds`` and ``interpreter_builds`` stay at 1;
 * **promotion** — fencing the primary and promoting a follower hands over
   byte-identical state, and the fenced primary refuses further writes.
 
@@ -67,6 +70,9 @@ STATEMENTS = [
 
 REPLICA_COUNTS = (1, 2, 4)
 BURST_RECORDS = 500
+#: Write → ship → read rounds after the burst; the follower folds each
+#: slice into its live caches, so its build counters must stay at 1.
+CATCHUP_ROUNDS = 10
 CATCHUP_BOUND_MS = 250.0
 STALLED_SPEEDUP_BOUND = 2.0
 
@@ -175,6 +181,16 @@ def measure_lag_and_promotion(engine: PrimaEngine) -> Dict[str, object]:
         [fingerprint(f.query(s)) for s in STATEMENTS] == serial
         for f in hub.followers()
     )
+    loop_parity = True
+    for i in range(CATCHUP_ROUNDS):
+        engine.store_atom("part", identifier=f"g{i}", part_no=f"G{i:05d}", level=i % 7, cost=i)
+        engine.connect("composition", "p0", f"g{i}")
+        hub.catch_up_all()
+        loop_parity &= fingerprint(follower.query(STATEMENTS[2])) == fingerprint(
+            engine.query(STATEMENTS[2])
+        )
+    builds = follower.engine.maintenance_statistics()
+    serial = [fingerprint(engine.query(s)) for s in STATEMENTS]
     promoted = follower.promote()
     promotion_parity = [fingerprint(promoted.query(s)) for s in STATEMENTS] == serial
     try:
@@ -189,6 +205,12 @@ def measure_lag_and_promotion(engine: PrimaEngine) -> Dict[str, object]:
         "catchup_ms": seconds * 1000.0,
         "stale_parity_mid_catchup": stale_parity,
         "parity_after_burst": parity_after_burst,
+        "catchup_rounds": CATCHUP_ROUNDS,
+        "parity_catchup_loop": loop_parity,
+        # Lifetime totals: the first read built each once, no catch-up
+        # (the burst included) rebuilt them.
+        "follower_snapshot_builds": builds["snapshot_builds"],
+        "follower_interpreter_builds": builds["interpreter_builds"],
         "promotion_parity": promotion_parity,
         "fenced_primary_refuses_writes": fenced_refuses,
     }
@@ -242,6 +264,7 @@ def compare(parts: int, request_rounds: int, io_stall_ms: float) -> Dict[str, ob
                 and routed == serial_router
                 and lag["stale_parity_mid_catchup"]
                 and lag["parity_after_burst"]
+                and lag["parity_catchup_loop"]
                 and lag["promotion_parity"]
             ),
             "replication_counters": counters,
@@ -274,6 +297,8 @@ def test_perf11_replication_parity_lag_and_promotion():
     assert result["router_parity"]
     assert result["lag"]["lag_after_burst"] == BURST_RECORDS
     assert result["lag"]["lag_after_catchup"] == 0
+    assert result["lag"]["follower_snapshot_builds"] == 1
+    assert result["lag"]["follower_interpreter_builds"] == 1
     assert result["lag"]["fenced_primary_refuses_writes"]
     assert result["replication_counters"]["replication_promotions"] == 1
 
@@ -315,6 +340,9 @@ def main(argv=None) -> None:
             ("lag after catch-up", result["lag"]["lag_after_catchup"]),
             ("stale parity mid-catch-up", result["lag"]["stale_parity_mid_catchup"]),
             ("parity after burst", result["lag"]["parity_after_burst"]),
+            ("catch-up rounds", result["lag"]["catchup_rounds"]),
+            ("follower snapshot builds", result["lag"]["follower_snapshot_builds"]),
+            ("follower interpreter builds", result["lag"]["follower_interpreter_builds"]),
             ("promotion parity", result["lag"]["promotion_parity"]),
             ("fenced primary refuses", result["lag"]["fenced_primary_refuses_writes"]),
         ],

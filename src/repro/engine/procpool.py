@@ -17,10 +17,13 @@ plans** to worker **processes**:
   :meth:`~repro.storage.wal.WriteAheadLog.add_observer` into an in-memory
   **record feed** with monotone sequence numbers.  Before a dispatch, each
   worker receives exactly the feed slice past its applied position — never
-  a full reload.  Sequence numbers (not generations) drive the slice:
-  commit order is not generation order (a later-committing transaction can
-  carry smaller generations), so filtering by generation could silently
-  drop records.  Generations are used only to *fast-forward* a worker's
+  a full reload — and replays it with the followers' routine
+  (:func:`~repro.storage.recovery.replay_records`) into its live
+  snapshot, so its cached structures are maintained, not rebuilt.
+  Sequence numbers (not generations) drive the slice: commit order is not
+  generation order (a later-committing transaction can carry smaller
+  generations), so filtering by generation could silently drop records.
+  Generations are used only to *fast-forward* a worker's
   applied generation to the pin (generation ticks without WAL records —
   rollbacks, no-op writes — ship no bytes) and to *refuse* plans pinned to
   a generation behind the worker's state (a worker cannot rewind; the
@@ -76,13 +79,6 @@ def _seed_engine(directory: str):
 
     seed = seed_engine(directory, name="prima-worker")
     return seed.engine, seed.generation, seed.records_replayed
-
-
-def _apply_record(engine, record: Dict[str, object]) -> int:
-    """Replay one WAL/feed record; returns the record's highest generation."""
-    from repro.storage.replication import apply_record
-
-    return apply_record(engine, record)
 
 
 def _execute_job(engine, job: Dict[str, object], applied_generation: int):
@@ -149,6 +145,8 @@ def _execute_job(engine, job: Dict[str, object], applied_generation: int):
 
 def _worker_main(directory: str, conn) -> None:
     """Worker-process entry point: seed, then serve the pipe until stopped."""
+    from repro.storage.recovery import replay_records
+
     try:
         engine, applied_generation, replayed = _seed_engine(directory)
     except BaseException as exc:  # noqa: BLE001 - reported to the primary
@@ -169,17 +167,15 @@ def _worker_main(directory: str, conn) -> None:
             break
         try:
             if op == "ping":
-                conn.send(("pong", applied_generation))
+                conn.send(("pong", applied_generation, engine.maintenance_statistics()))
             elif op == "catchup":
                 _op, records, target = message
-                for record in records:
-                    _apply_record(engine, record)
-                if records:
-                    # The records went into the stores through the recovery
-                    # primitives, beneath the engine's cached access
-                    # structures — drop them so the next plan re-exports.
-                    engine._invalidate()  # noqa: SLF001 - intentional internal reuse
-                applied_generation = max(applied_generation, int(target))
+                # The followers' replay routine: records fold into the
+                # worker's live snapshot and every cached structure through
+                # the engine's change listener — no re-export per catch-up.
+                applied_generation = replay_records(
+                    engine, records, max(applied_generation, int(target))
+                )
                 conn.send(("caught", applied_generation, len(records)))
             elif op == "execute":
                 payload = _execute_job(engine, message[1], applied_generation)
@@ -374,7 +370,7 @@ class ProcessPool:
                 f"is ahead of the pinned generation {pin_gen} (seq {cut_seq})"
             )
         records = self._feed_slice(worker.applied_seq, cut_seq)
-        # A worker has no version store: applying a record puts its state AT
+        # A worker serves only its head: applying a record puts its state AT
         # that record's generation.  When the dispatch pins an older
         # generation the slice may contain commits past the pin (the cut is
         # the live feed head) — shipping those would make the worker answer

@@ -1408,6 +1408,29 @@ class PrimaEngine:
             if self.maintenance == REBUILD:
                 self._dirty = True
 
+    def _advance_generation(self, generation: int) -> None:
+        """Fast-forward the write generation (and the live snapshot's version
+        clock) to *generation* across ticks that changed nothing here.
+
+        Replay calls this after a feed slice: the primary's commit stamps,
+        rollbacks and no-op writes tick its generation without shipping an
+        event.  The cached structures stay coherent across such ticks, so
+        they are stamped with the new generation and pinned reads keep them.
+        """
+        snapshot = self._snapshot
+        if snapshot is not None:
+            state = snapshot.versioning
+            with state.lock:
+                state.generation = max(state.generation, generation)
+                generation = state.generation
+        with self._event_lock:
+            self.generation = max(self.generation, generation)
+            for structure in (self._network, self._index_pool):
+                if structure is not None:
+                    structure.generation = self.generation
+            self._structure_indexes.stamp(self.generation)
+            self._columnar.stamp(self.generation)
+
     def _check_dirty(self) -> None:
         """Tear down invalidated caches before serving a read."""
         if self._dirty:

@@ -20,6 +20,11 @@ durability directory in two phases:
 After replay the engine's write generation continues from the highest stamp
 seen, and the atom surrogate counter is bumped past every replayed surrogate
 identifier so new inserts cannot collide with recovered atoms.
+
+The WAL replay step, :func:`replay_records`, is also how followers and
+process-pool workers apply the primary's shipped records: on an engine that
+already has a live snapshot it replays them as snapshot mutations, so every
+cached structure is maintained instead of rebuilt.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ from repro.core.events import (
     LINK_DISCONNECTED,
     ChangeEvent,
 )
-from repro.core.link import Cardinality, Link
+from repro.core.link import Cardinality, Link, LinkType
+from repro.exceptions import CardinalityError
 from repro.storage.wal import (
     DurabilityConfig,
     WalError,
@@ -52,6 +58,7 @@ from repro.storage.wal import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.database import Database
     from repro.storage.engine import PrimaEngine
 
 #: Checkpoint image format version (bumped on incompatible layout changes).
@@ -318,6 +325,98 @@ def apply_event_record(engine: "PrimaEngine", event: Dict[str, object]) -> int:
     raise WalError(f"unknown event tag {tag!r} in commit record")
 
 
+def replay_records(
+    engine: "PrimaEngine", records: Iterable[Dict[str, object]], target_generation: int = 0
+) -> int:
+    """Replay WAL/feed records on *engine*, then fast-forward it to
+    *target_generation*; returns the generation reached.
+
+    The one replay routine of recovery, follower seeding, hub catch-up, file
+    polling and process-pool catch-up.  Where the engine has a live
+    snapshot, every commit event replays as the matching mutation on that
+    snapshot, and the engine's change listener folds it into the stores and
+    every derived structure exactly as it folds a live write.  Without one
+    (recovery, seeding, or right after a DDL record dropped the caches)
+    nothing derived exists yet and the store-level primitives apply it.
+    Events the state already reflects are skipped, so double-applied slices
+    are harmless.  The surrogate counter moves past every replayed atom.
+    """
+    generation = int(target_generation)
+    highest_surrogate = 0
+    for record in records:
+        kind = record.get("r")
+        if kind == "ddl":
+            apply_ddl_record(engine, record)
+        elif kind == "commit":
+            snapshot = engine._maintainable()
+            for event in record.get("events", ()):
+                if snapshot is None:
+                    ordinal = apply_event_record(engine, event)
+                else:
+                    ordinal = _replay_event(snapshot, event)
+                highest_surrogate = max(highest_surrogate, ordinal)
+            generation = max(generation, int(record.get("gen", 0)))
+        else:
+            raise WalError(f"unknown WAL record kind {kind!r}")
+    ensure_surrogate_counter(highest_surrogate)
+    engine._advance_generation(generation)
+    return generation
+
+
+def _replay_event(snapshot: "Database", event: Dict[str, object]) -> int:
+    """Replay one serialized event as a mutation on *snapshot*; returns the
+    surrogate ordinal it introduced (0 for deletes and links)."""
+    tag = event.get("e")
+    type_name = event["t"]
+    if tag in ("ai", "am"):
+        atom_type = snapshot.atyp(type_name)
+        atom = Atom(type_name, decode_value(event["v"]), identifier=event["id"])
+        current = atom_type.get(atom.identifier)
+        if current is None:
+            atom_type.add(atom)
+        elif current.values != atom.values:
+            atom_type.replace(atom)
+        return _surrogate_ordinal(atom.identifier)
+    if tag == "ad":
+        atom_type = snapshot.atyp(type_name)
+        if atom_type.get(event["id"]) is not None:
+            atom_type.remove(event["id"])
+        return 0
+    if tag in ("lc", "ld"):
+        link_type = snapshot.ltyp(type_name)
+        first_type, second_type = link_type.atom_type_names
+        link = Link(type_name, event["f"], event["s"], first_type, second_type)
+        if tag == "ld":
+            link_type.remove(link)  # no-op when absent
+        elif link not in link_type:
+            try:
+                link_type.add(link)
+            except CardinalityError:
+                # The primary validated this connect when it committed; an
+                # incumbent link that clashes with it is older in the feed
+                # than the primary's state — a double-applied slice, or a
+                # disconnect whose transaction committed after this
+                # connect's.  The newest event wins: the incumbent goes.
+                for incumbent in _clashing_links(link_type, link):
+                    link_type.remove(incumbent)
+                link_type.add(link)
+        return 0
+    raise WalError(f"unknown event tag {tag!r} in commit record")
+
+
+def _clashing_links(link_type: LinkType, link: Link) -> List[Link]:
+    """The links of *link_type* that forbid *link* under its cardinality
+    (the rule :meth:`~repro.core.link.LinkType.add` enforces)."""
+    clashing: List[Link] = []
+    for endpoint_type, identifier in link.endpoints:
+        if (
+            link_type.cardinality is Cardinality.ONE_TO_ONE
+            or endpoint_type == link_type.atom_type_names[1]
+        ):
+            clashing.extend(link_type.links_of(identifier))
+    return clashing
+
+
 def _surrogate_ordinal(identifier: object) -> int:
     """The numeric suffix of a ``<type>#<n>`` surrogate identifier, or 0."""
     if not isinstance(identifier, str):
@@ -335,10 +434,9 @@ def recover(engine: "PrimaEngine", config: DurabilityConfig) -> RecoveryResult:
     """
     Path(config.directory).mkdir(parents=True, exist_ok=True)
     result = RecoveryResult()
-    highest_surrogate = 0
     image = load_checkpoint(config)
     if image is not None:
-        highest_surrogate = apply_checkpoint(engine, image)
+        ensure_surrogate_counter(apply_checkpoint(engine, image))
         result.checkpoint_loaded = True
         result.generation = int(image.get("generation", 0))
     scan: WalScan = read_wal(config.wal_path)
@@ -352,21 +450,11 @@ def recover(engine: "PrimaEngine", config: DurabilityConfig) -> RecoveryResult:
             handle.truncate(scan.valid_bytes)
             handle.flush()
             os.fsync(handle.fileno())
+    result.generation = replay_records(engine, scan.records, result.generation)
+    result.records_replayed = len(scan.records)
     for record in scan.records:
-        kind = record.get("r")
-        if kind == "ddl":
-            apply_ddl_record(engine, record)
+        if record.get("r") == "ddl":
             result.ddl_replayed += 1
-        elif kind == "commit":
-            for event in record.get("events", ()):
-                highest_surrogate = max(
-                    highest_surrogate, apply_event_record(engine, event)
-                )
-                result.events_replayed += 1
-            result.generation = max(result.generation, int(record.get("gen", 0)))
         else:
-            raise WalError(f"unknown WAL record kind {kind!r}")
-        result.records_replayed += 1
-    ensure_surrogate_counter(highest_surrogate)
-    engine.generation = max(engine.generation, result.generation)
+            result.events_replayed += len(record.get("events", ()))
     return result

@@ -13,7 +13,10 @@ module combines into read scale-out:
   truncated — against a live primary it is an in-flight append, not a
   crash artefact (see :func:`~repro.storage.wal.read_wal`).
 
-* **Tailing.**  Two transports share one apply path:
+* **Tailing.**  Two transports share one apply path,
+  :func:`~repro.storage.recovery.replay_records`, which replays each
+  commit as mutations on the follower's live snapshot so every derived
+  structure is maintained in place (see :class:`FollowerEngine`):
 
   - **in-process** — a :class:`ReplicationHub` taps the primary's WAL via
     :meth:`~repro.storage.wal.WriteAheadLog.add_observer` into an
@@ -56,34 +59,13 @@ from repro.analysis.runtime import make_lock, make_rlock
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core.atom import ensure_surrogate_counter
 from repro.exceptions import StorageError
+from repro.storage.recovery import replay_records
 
 
 class ReplicationError(StorageError):
     """A replication-protocol violation (rewind, fenced feed, bad record)."""
-
-
-# ------------------------------------------------------------ shared replay
-
-
-def apply_record(engine, record: Dict[str, object]) -> int:
-    """Replay one WAL/feed record on *engine*'s stores; returns the record's
-    highest generation (0 for DDL records).
-
-    The single replay routine shared by process-pool workers, followers and
-    follower re-seeding — always the recovery primitives, always idempotent.
-    """
-    from repro.storage.recovery import apply_ddl_record, apply_event_record
-
-    kind = record.get("r")
-    if kind == "ddl":
-        apply_ddl_record(engine, record)
-        return 0
-    if kind == "commit":
-        for event in record.get("events", ()):
-            apply_event_record(engine, event)
-        return int(record.get("gen", 0))
-    raise ReplicationError(f"unknown record kind {kind!r} in replication feed")
 
 
 def checkpoint_stamp(path) -> Optional[Tuple[int, int, int]]:
@@ -122,7 +104,6 @@ def seed_engine(directory, name: str = "prima-replica") -> SeedResult:
     (``read_wal`` already stops at the last valid record) instead of
     truncated — against a live primary the tail is an in-flight append.
     """
-    from repro.core.atom import ensure_surrogate_counter
     from repro.storage.engine import PrimaEngine
     from repro.storage.recovery import apply_checkpoint, load_checkpoint
     from repro.storage.wal import DurabilityConfig, read_wal
@@ -131,19 +112,13 @@ def seed_engine(directory, name: str = "prima-replica") -> SeedResult:
     stamp = checkpoint_stamp(config.checkpoint_path)
     engine = PrimaEngine(name=name)
     generation = 0
-    highest_surrogate = 0
-    replayed = 0
     image = load_checkpoint(config)
     if image is not None:
-        highest_surrogate = apply_checkpoint(engine, image)
+        ensure_surrogate_counter(apply_checkpoint(engine, image))
         generation = int(image.get("generation", 0))
     scan = read_wal(config.wal_path)
-    for record in scan.records:
-        generation = max(generation, apply_record(engine, record))
-        replayed += 1
-    ensure_surrogate_counter(highest_surrogate)
-    engine.generation = max(engine.generation, generation)
-    return SeedResult(engine, generation, replayed, scan.valid_bytes, stamp)
+    generation = replay_records(engine, scan.records, generation)
+    return SeedResult(engine, generation, len(scan.records), scan.valid_bytes, stamp)
 
 
 # ------------------------------------------------------------- the follower
@@ -159,6 +134,14 @@ class FollowerEngine:
     ships to incrementally.  Reads (:meth:`query`) run against a pinned
     snapshot at the follower's applied generation, so they are repeatable
     even while records keep applying underneath.
+
+    Catch-up is incremental: each applied record replays as mutations on
+    the follower's live snapshot
+    (:func:`~repro.storage.recovery.replay_records`), so its stores,
+    network, index pool, structure indexes, columnar projections and
+    interpreter are maintained in place, as on the primary — nothing is
+    rebuilt per catch-up.  Only a DDL record drops the caches, as DDL does
+    on the primary.
     """
 
     def __init__(self, directory, name: str = "prima-follower", hub=None) -> None:
@@ -166,10 +149,10 @@ class FollowerEngine:
         self.name = name
         self._hub = hub
         #: Serializes applies, re-seeds and snapshot acquisition.  Query
-        #: *execution* runs outside it, on the acquired handle: applies go
-        #: through the recovery primitives, which replace store entries
-        #: with fresh objects — an in-flight read over previously exported
-        #: snapshot objects never sees a partial apply.
+        #: *execution* runs outside it, on the acquired handle: applies are
+        #: versioned snapshot mutations, so a handle pinned before an apply
+        #: keeps reading its own generation through the version chains
+        #: (MVCC, exactly as on the primary) and never sees a partial apply.
         self._lock = make_rlock("FollowerEngine._lock")
         self._promoted = False  # guarded-by: FollowerEngine._lock
         self._closed = False
@@ -217,20 +200,10 @@ class FollowerEngine:
         """
         with self._lock:
             self._require_live()
-            for record in records:
-                apply_record(self._engine, record)
-                self.counters["records_applied"] += 1
-            if records:
-                # Records went into the stores through the recovery
-                # primitives, beneath the engine's cached access structures —
-                # drop them so the next read re-exports.
-                self._engine._invalidate()  # noqa: SLF001 - intentional internal reuse
-            self.applied_generation = max(
-                self.applied_generation, int(target_generation)
+            self.applied_generation = replay_records(
+                self._engine, records, max(self.applied_generation, int(target_generation))
             )
-            self._engine.generation = max(
-                self._engine.generation, self.applied_generation
-            )
+            self.counters["records_applied"] += len(records)
 
     def poll(self) -> int:
         """Apply newly durable records from the primary's files; returns the
@@ -278,15 +251,11 @@ class FollowerEngine:
                 # In-flight append: apply the valid prefix, keep the offset
                 # at the last good byte, and let a later poll retry.
                 self.counters["torn_tail_retries"] += 1
-            generation = self.applied_generation
-            for record in scan.records:
-                generation = max(generation, apply_record(self._engine, record))
-                self.counters["records_applied"] += 1
-            if scan.records:
-                self._engine._invalidate()  # noqa: SLF001 - intentional internal reuse
+            self.applied_generation = replay_records(
+                self._engine, scan.records, self.applied_generation
+            )
+            self.counters["records_applied"] += len(scan.records)
             self._wal_offset = scan.valid_bytes
-            self.applied_generation = generation
-            self._engine.generation = max(self._engine.generation, generation)
             return len(scan.records)
 
     # ------------------------------------------------------------- reading

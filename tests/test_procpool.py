@@ -205,6 +205,33 @@ class TestWorkerLifecycle:
             assert fingerprint(got) == fingerprint(expected)
         assert pool.counters["catchup_records"] >= 50
 
+    def test_catchup_never_rebuilds_worker_caches(self, fresh_engine):
+        """Catch-up folds the shipped records into each worker's live
+        snapshot: after the first dispatch built its caches, no catch-up
+        rebuilds them."""
+        pool = fresh_engine.process_pool(workers=2)
+        fresh_engine.parallel_query(STATEMENTS, mode="process")
+        seeded = [pool._call(worker, ("ping",))[2] for worker in pool._workers]
+        for round_ in range(4):
+            for i in range(400 + 10 * round_, 410 + 10 * round_):
+                fresh_engine.store_atom(
+                    "item", identifier=f"i{i}", name=f"n{i}", grp="r", val=1.0, qty=i % 5
+                )
+            fresh_engine.query(f"MODIFY item FROM item SET val = {round_}.5 WHERE item.qty = 1;")
+            fresh_engine.delete_atom("item", f"i{round_}")
+            serial = fresh_engine.parallel_query(STATEMENTS, mode="serial")
+            proc = fresh_engine.parallel_query(STATEMENTS, mode="process")
+            for expected, got in zip(serial, proc):
+                assert fingerprint(got) == fingerprint(expected)
+        assert pool.counters["restarts"] == 0
+        assert pool.counters["catchup_records"] > 0
+        for worker, before in zip(pool._workers, seeded):
+            stats = pool._call(worker, ("ping",))[2]
+            assert stats["snapshot_builds"] == 1
+            assert stats["interpreter_builds"] == 1
+            assert stats["invalidations"] == before["invalidations"]
+            assert stats["events_applied"] > before["events_applied"]
+
     def test_catchup_across_checkpoint_truncation(self, fresh_engine):
         """A checkpoint truncates the WAL file; workers must keep tracking
         through the in-memory feed (which only ever grows) regardless."""

@@ -31,6 +31,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.atom import reset_surrogate_counter
+from repro.core.link import Cardinality
 from repro.exceptions import StorageError, TransactionError
 from repro.manipulation.transactions import Transaction
 from repro.storage.engine import PrimaEngine
@@ -354,6 +355,225 @@ class TestHubCatchUp:
         engine = PrimaEngine()
         with pytest.raises(StorageError):
             engine.create_follower()
+
+
+BUILDS = ("snapshot_builds", "network_builds", "interpreter_builds")
+
+CLOSURE = "SELECT ALL FROM RECURSIVE part [composition] DOWN;"
+GROUPED = "SELECT item.grp, COUNT(item.name), SUM(item.val) FROM item GROUP BY item.grp;"
+
+
+def churn(engine, cycle):
+    """One cycle of committed DML: INSERT/MODIFY/DELETE plus a link connect
+    and a disconnect, each its own commit record."""
+    engine.query(
+        f"INSERT item VALUES {{name: 'c{cycle}', grp: 'churn', val: {cycle}.5, qty: 3}};"
+    )
+    engine.query(f"MODIFY item FROM item SET val = {cycle}.25 WHERE item.qty = 1;")
+    engine.query(f"DELETE FROM item WHERE item.name = 'n{cycle}';")
+    engine.connect("composition", "p11", f"p{4 + cycle % 6}")
+    # Toggle the p9 -> p10 tree edge (p10's only link) in a transaction.
+    txn = Transaction(engine.to_database())
+    txn.begin()
+    if cycle % 2 == 0:
+        (link,) = engine.to_database().ltyp("composition").links_of("p10")
+        txn.disconnect("composition", link)
+    else:
+        txn.connect("composition", "p9", "p10")
+    txn.commit()
+
+
+class TestIncrementalCatchUp:
+    """Catch-up folds shipped commits into the follower's live caches: no
+    snapshot, network or interpreter rebuild per ship (DDL aside)."""
+
+    def test_catch_up_never_rebuilds(self, fresh_engine):
+        fresh_engine.create_structure_index("part", "composition", "down")
+        follower = fresh_engine.create_follower()
+        hub = fresh_engine.replication_hub()
+        statements = STATEMENTS + [CLOSURE, GROUPED]
+        for statement in statements:
+            follower.query(statement)  # first reads build the caches once
+        stats = follower.engine.maintenance_statistics()
+        assert [stats[key] for key in BUILDS] == [1, 1, 1]
+        invalidations = stats["invalidations"]
+        for cycle in range(6):
+            churn(fresh_engine, cycle)
+            with fresh_engine.snapshot_at() as pinned:
+                records = hub._feed_slice(follower.applied_seq, hub.feed_position())
+                hub.ship(follower, pinned.generation)
+                if cycle % 2:
+                    # Double-apply the slice just shipped: replay is
+                    # idempotent, the state stays put.
+                    follower.apply_records(records, pinned.generation)
+                assert follower.applied_generation == pinned.generation
+                for statement in statements:
+                    assert fingerprint(follower.query(statement)) == fingerprint(
+                        pinned.query(statement)
+                    )
+            stats = follower.engine.maintenance_statistics()
+            assert [stats[key] for key in BUILDS] == [1, 1, 1]
+            assert stats["invalidations"] == invalidations
+
+    def test_double_applied_slice_is_idempotent(self, fresh_engine):
+        follower = fresh_engine.create_follower()
+        hub = fresh_engine.replication_hub()
+        follower.query(COUNT_ITEMS)
+        start = hub.feed_position()
+        for cycle in range(3):
+            churn(fresh_engine, cycle)
+        records = hub._feed_slice(start, hub.feed_position())
+        with fresh_engine.snapshot_at() as pinned:
+            hub.ship(follower, pinned.generation)
+            # The newest record is wholly reflected already: nothing applies.
+            before = follower.engine.maintenance_statistics()["events_applied"]
+            follower.apply_records(records[-1:], pinned.generation)
+            assert follower.engine.maintenance_statistics()["events_applied"] == before
+            # The whole slice again: older events replay over newer state,
+            # later ones restore it — the end state is the same.
+            follower.apply_records(records, pinned.generation)
+            after = follower.engine.maintenance_statistics()
+            for statement in STATEMENTS + [CLOSURE]:
+                assert fingerprint(follower.query(statement)) == fingerprint(
+                    pinned.query(statement)
+                )
+        assert after["snapshot_builds"] == 1
+
+    def test_double_applied_reparenting_keeps_cardinality(self, fresh_engine):
+        """Re-applying a 1:n connect the slice later superseded (a reparent)
+        clashes with the newer state; replay keeps the newer state."""
+        fresh_engine.create_link_type(
+            "owner", "part", "item", cardinality=Cardinality.ONE_TO_MANY
+        )
+        follower = fresh_engine.create_follower()
+        hub = fresh_engine.replication_hub()
+        follower.query(COUNT_ITEMS)
+        start = hub.feed_position()
+        fresh_engine.connect("owner", "p0", "i0")
+        txn = Transaction(fresh_engine.to_database())
+        txn.begin()
+        (link,) = fresh_engine.to_database().ltyp("owner").links_of("i0")
+        txn.disconnect("owner", link)
+        txn.connect("owner", "p1", "i0")
+        txn.commit()
+        records = hub._feed_slice(start, hub.feed_position())
+        hub.ship(follower)
+        follower.apply_records(records, follower.applied_generation)
+        assert follower.engine.neighbours("owner", "i0") == ("p1",)
+        assert follower.engine.maintenance_statistics()["snapshot_builds"] == 1
+
+    def test_reparent_committed_before_the_disconnect(self, fresh_engine):
+        """The feed is in commit order, not mutation order: T1 disconnects
+        p0-i0, T2 then connects p1-i0 (legal at the head) and commits
+        first.  The follower replays T2's 1:n connect while it still holds
+        p0-i0; the newer connect must win, so the follower ends where the
+        primary is, with i0 under p1."""
+        fresh_engine.create_link_type(
+            "owner", "part", "item", cardinality=Cardinality.ONE_TO_MANY
+        )
+        fresh_engine.connect("owner", "p0", "i0")
+        fresh_engine.connect("owner", "p0", "i1")
+        follower = fresh_engine.create_follower()
+        hub = fresh_engine.replication_hub()
+        follower.query(COUNT_ITEMS)
+        database = fresh_engine.to_database()
+        (link,) = database.ltyp("owner").links_of("i0")
+        t1 = Transaction(database)
+        t1.begin()
+        t1.disconnect("owner", link)
+        t2 = Transaction(database)
+        t2.begin()
+        t2.connect("owner", "p1", "i0")
+        t2.commit()
+        t1.commit()
+        hub.ship(follower)
+        assert fresh_engine.neighbours("owner", "i0") == ("p1",)
+        for identifier in ("i0", "i1", "p0", "p1"):
+            assert sorted(follower.engine.neighbours("owner", identifier)) == sorted(
+                fresh_engine.neighbours("owner", identifier)
+            )
+        assert follower.engine.maintenance_statistics()["snapshot_builds"] == 1
+
+    def test_ddl_record_invalidates_once(self, fresh_engine):
+        follower = fresh_engine.create_follower()
+        hub = fresh_engine.replication_hub()
+        follower.query(COUNT_ITEMS)
+        invalidations = follower.engine.maintenance_statistics()["invalidations"]
+        fresh_engine.create_atom_type("extra", {"tag": "string"})
+        burst(fresh_engine, 300, 305)
+        hub.ship(follower)
+        stats = follower.engine.maintenance_statistics()
+        assert stats["invalidations"] == invalidations + 1
+        assert fingerprint(follower.query(COUNT_ITEMS)) == fingerprint(
+            fresh_engine.query(COUNT_ITEMS)
+        )
+        burst(fresh_engine, 305, 310)
+        hub.ship(follower)
+        stats = follower.engine.maintenance_statistics()
+        assert stats["invalidations"] == invalidations + 1
+        assert stats["snapshot_builds"] == 2  # rebuilt once, after the DDL
+
+    def test_poll_is_incremental(self, fresh_engine):
+        follower = FollowerEngine(fresh_engine.durability.directory)
+        follower.query(COUNT_ITEMS)
+        for cycle in range(3):
+            churn(fresh_engine, cycle)
+            assert follower.poll() > 0
+            assert follower.applied_generation <= fresh_engine.generation
+            for statement in STATEMENTS:
+                assert fingerprint(follower.query(statement)) == fingerprint(
+                    fresh_engine.query(statement)
+                )
+        stats = follower.engine.maintenance_statistics()
+        assert [stats[key] for key in BUILDS] == [1, 1, 1]
+
+
+class TestFollowerMVCC:
+    def test_pinned_handle_survives_catch_up(self, fresh_engine):
+        """A handle pinned before a catch-up that rewrites and deletes the
+        rows it read keeps returning them; the version chains it held are
+        collected once it is released."""
+        follower = fresh_engine.create_follower()
+        hub = fresh_engine.replication_hub()
+        reads = [STATEMENTS[0], COUNT_ITEMS, GROUPED]
+        handle = follower.snapshot()
+        before = [fingerprint(handle.query(statement)) for statement in reads]
+        fresh_engine.query("MODIFY item FROM item SET val = 99.5 WHERE item.qty = 2;")
+        fresh_engine.query("DELETE FROM item WHERE item.qty = 2 AND item.grp = 'even';")
+        hub.ship(follower)
+        assert [fingerprint(handle.query(statement)) for statement in reads] == before
+        assert fingerprint(follower.query(STATEMENTS[0])) != before[0]
+        assert fingerprint(follower.query(STATEMENTS[0])) == fingerprint(
+            fresh_engine.query(STATEMENTS[0])
+        )
+        assert follower.engine.maintenance_report()["versions_live"] > 0
+        handle.release()
+        assert follower.engine.maintenance_report()["versions_live"] == 0
+        assert follower.engine.maintenance_statistics()["snapshot_builds"] == 1
+
+
+class TestSurrogateCounter:
+    @pytest.mark.parametrize("transport", ["seed", "poll"])
+    def test_promoted_follower_inserts_past_replayed_surrogates(
+        self, fresh_engine, transport
+    ):
+        """Regression: replay discarded the surrogate ordinals of atoms it
+        re-created from the WAL tail, so a promoted follower in a fresh
+        process handed out ``item#1`` again and its first INSERT raised
+        IntegrityError."""
+        directory = fresh_engine.durability.directory
+        insert = "INSERT item VALUES {{name: '{0}', grp: 's', val: 1.0, qty: 1}};"
+        follower = FollowerEngine(directory) if transport == "poll" else None
+        for i in range(3):
+            fresh_engine.query(insert.format(f"s{i}"))
+        assert fresh_engine.get_atom("item", "item#1") is not None
+        reset_surrogate_counter()  # a fresh process: the counter restarts
+        if follower is None:
+            follower = FollowerEngine(directory)
+        promoted = follower.promote()
+        result = promoted.query(insert.format("after"))
+        assert result.write_summary is not None
+        assert len(promoted.lookup("item", "grp", "s")) == 4
 
 
 class TestPromotion:
