@@ -109,7 +109,8 @@ def test_perf4_rebuild_mode_rebuilds_per_write():
     engine = build_engine("rebuild", n_states=10)
     run_mixed_workload(engine, rounds=5)
     report = engine.maintenance_statistics()
-    assert report["snapshot_builds"] > 5
+    assert report["interpreter_builds"] > 5
+    assert report["network_builds"] > 5
 
 
 def test_perf4_modes_return_identical_results():
@@ -140,12 +141,12 @@ def main(argv: "List[str] | None" = None) -> int:
     print(f"E-PERF4 mixed workload — {rounds} rounds over {comparison['n_states']} states")
     print(
         f"  incremental: {incremental['elapsed_seconds']:.3f}s, "
-        f"builds={incremental['maintenance']['snapshot_builds']}, "
+        f"interpreter builds={incremental['maintenance']['interpreter_builds']}, "
         f"events={incremental['maintenance']['events_applied']}"
     )
     print(
         f"  rebuild:     {rebuild['elapsed_seconds']:.3f}s, "
-        f"builds={rebuild['maintenance']['snapshot_builds']}"
+        f"interpreter builds={rebuild['maintenance']['interpreter_builds']}"
     )
     print(f"  speedup: {comparison['speedup']:.2f}x, identical={comparison['results_identical']}")
     write_report(args.output, comparison)

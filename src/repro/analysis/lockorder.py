@@ -201,6 +201,7 @@ class Scope:
         cls: Optional[str],
         annotations: Dict[str, str],
         attr_types: Dict[Tuple[str, str], str],
+        modules: "Set[str] | frozenset" = frozenset(),
     ) -> None:
         self.module = module
         self.cls = cls
@@ -208,6 +209,9 @@ class Scope:
         self.annotations = annotations
         #: (class, attribute) → class name (from ``self.x = ClassName()``).
         self.attr_types = attr_types
+        #: names bound by ``import`` statements: ``os.replace(...)`` is a
+        #: module-function call, never a method of some analyzed class.
+        self.modules = modules
 
 
 def resolve_lock(node: ast.expr, scope: Scope, registry: Registry):
@@ -328,6 +332,10 @@ class _FunctionWalker(ast.NodeVisitor):
                     self.facts.acquires.append(
                         Acquire(resolved, tuple(self.held), node.lineno)
                     )
+            elif isinstance(function.value, ast.Name) and function.value.id in self.scope.modules:
+                self.facts.calls.append(
+                    CallSite(("function", function.attr), tuple(self.held), node.lineno)
+                )
             else:
                 base = function.value
                 owner: Optional[str] = None
@@ -493,6 +501,12 @@ def analyze_module(
     tree = ast.parse(source)
     facts.tree = tree
     threading_names, direct_locks = _threading_aliases(tree)
+    module_names = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
 
     # Lock constructions (raw and via the factories).
     for node in ast.walk(tree):
@@ -530,7 +544,7 @@ def analyze_module(
         function_facts = FunctionFacts(key=key, module=module, cls=cls, name=node.name)
         annotations = _local_aliases(node, cls, attr_types)
         annotations.update(_parameter_annotations(node))
-        scope = Scope(module, cls, annotations, attr_types)
+        scope = Scope(module, cls, annotations, attr_types, module_names)
         walker = _FunctionWalker(function_facts, scope, registry, facts.unresolved)
         for statement in node.body:
             walker.visit(statement)

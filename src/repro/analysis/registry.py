@@ -122,11 +122,11 @@ LOCKS: Tuple[LockSpec, ...] = (
         level=15,
         kind=KIND_RLOCK,
         module="repro.storage.engine",
-        guards="lazy construction/teardown of the cached access structures "
-        "(snapshot, network, interpreter, index pool, pool/hub references)",
-        rationale="construction of the snapshot takes head locks and the "
-        "versioning guard underneath, so it sits below 18-22; shutdown "
-        "hands pool/hub references out of the lock before closing them",
+        guards="lazy construction/teardown of the derived access structures "
+        "(network, interpreter, index pool, pool/hub references)",
+        rationale="building the network and index pool reads the database "
+        "under its head locks, so it sits below 18-22; shutdown hands "
+        "pool/hub references out of the lock before closing them",
     ),
     LockSpec(
         name="Database._versioning_guard",
@@ -155,7 +155,7 @@ LOCKS: Tuple[LockSpec, ...] = (
         module="repro.core.link",
         guards="per-type head lock (see AtomType._lock), plus the "
         "cardinality check; link-type and atom-type head locks are never "
-        "nested (mirror paths release one before taking the other)",
+        "nested (atom deletes release one before taking the other)",
         per_instance=True,
     ),
     LockSpec(
@@ -186,9 +186,8 @@ LOCKS: Tuple[LockSpec, ...] = (
         level=40,
         kind=KIND_RLOCK,
         module="repro.storage.engine",
-        guards="one change event at a time: generation counter, store "
-        "mirror, incremental cache maintenance, WAL routing; also the "
-        "basic-interface store mutation (dict + hash indexes)",
+        guards="one change event at a time: generation counter, "
+        "incremental cache maintenance, WAL routing",
         rationale="acquired inside head locks and the versioning lock "
         "(event emission); only acquires the leaves above level 40",
     ),

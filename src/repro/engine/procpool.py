@@ -5,10 +5,10 @@ The GIL caps CPU-bound query execution at ~1× no matter how many threads
 real multi-core execution on stock CPython by shipping **compiled logical
 plans** to worker **processes**:
 
-* **Seeding.**  Each worker loads the primary's latest checkpoint image and
-  replays the WAL tail using the :mod:`repro.storage.recovery` machinery
-  verbatim (``load_checkpoint`` / ``apply_checkpoint`` / ``read_wal`` /
-  ``apply_ddl_record`` / ``apply_event_record``) — the same idempotent redo
+* **Seeding.**  Each worker builds its engine with
+  :func:`repro.storage.replication.seed_engine`, as a follower does: load
+  the primary's latest checkpoint image, then replay the WAL tail with
+  :func:`~repro.storage.recovery.replay_records` — the same idempotent redo
   path crash recovery trusts.  Workers never write the primary's files:
   unlike :func:`~repro.storage.recovery.recover`, seeding does not truncate
   torn WAL tails, it just stops at the last valid record.
@@ -18,8 +18,8 @@ plans** to worker **processes**:
   **record feed** with monotone sequence numbers.  Before a dispatch, each
   worker receives exactly the feed slice past its applied position — never
   a full reload — and replays it with the followers' routine
-  (:func:`~repro.storage.recovery.replay_records`) into its live
-  snapshot, so its cached structures are maintained, not rebuilt.
+  (:func:`~repro.storage.recovery.replay_records`) into its engine's
+  database, so its cached structures are maintained, not rebuilt.
   Sequence numbers (not generations) drive the slice: commit order is not
   generation order (a later-committing transaction can carry smaller
   generations), so filtering by generation could silently drop records.
@@ -66,19 +66,6 @@ class WorkerRefused(Exception):
 
 
 # ----------------------------------------------------------- worker process
-
-
-def _seed_engine(directory: str):
-    """Build a read-only engine replica from *directory*'s checkpoint + WAL.
-
-    Thin wrapper over :func:`repro.storage.replication.seed_engine` — the
-    seeding path followers share — returning the pool's historical
-    ``(engine, generation, records_replayed)`` tuple.
-    """
-    from repro.storage.replication import seed_engine
-
-    seed = seed_engine(directory, name="prima-worker")
-    return seed.engine, seed.generation, seed.records_replayed
 
 
 def _execute_job(engine, job: Dict[str, object], applied_generation: int):
@@ -146,16 +133,18 @@ def _execute_job(engine, job: Dict[str, object], applied_generation: int):
 def _worker_main(directory: str, conn) -> None:
     """Worker-process entry point: seed, then serve the pipe until stopped."""
     from repro.storage.recovery import replay_records
+    from repro.storage.replication import seed_engine
 
     try:
-        engine, applied_generation, replayed = _seed_engine(directory)
+        seed = seed_engine(directory, name="prima-worker")
     except BaseException as exc:  # noqa: BLE001 - reported to the primary
         try:
             conn.send(("seed_error", repr(exc)))
         finally:
             conn.close()
         return
-    conn.send(("ready", applied_generation, replayed))
+    engine, applied_generation = seed.engine, seed.generation
+    conn.send(("ready", applied_generation, seed.records_replayed))
     while True:
         try:
             message = conn.recv()
@@ -171,8 +160,8 @@ def _worker_main(directory: str, conn) -> None:
             elif op == "catchup":
                 _op, records, target = message
                 # The followers' replay routine: records fold into the
-                # worker's live snapshot and every cached structure through
-                # the engine's change listener — no re-export per catch-up.
+                # worker's database and every cached structure through the
+                # engine's change listener — nothing is rebuilt per catch-up.
                 applied_generation = replay_records(
                     engine, records, max(applied_generation, int(target))
                 )

@@ -2,71 +2,66 @@
 
 The engine mirrors the architecture the paper reports for the PRIMA prototype:
 
-* the **basic component** (:meth:`PrimaEngine.atom_interface` methods:
-  ``store_atom``, ``get_atom``, ``connect``, ``neighbours``, ``lookup``)
-  provides an atom-oriented interface whose functionality corresponds to the
-  atom-type algebra;
+* the **basic component** (``store_atom``, ``get_atom``, ``lookup``,
+  ``scan``, ``connect``, ``neighbours``, ``delete_atom``) provides an
+  atom-oriented interface whose functionality corresponds to the atom-type
+  algebra;
 * the **molecule component** (:meth:`PrimaEngine.define_molecule_type`,
   :meth:`PrimaEngine.query`) performs molecule processing and exposes an MQL
   interface: statements are translated to logical plans, optimized by the
   rule-driven planner, and run on the streaming executor — which reuses the
-  engine's secondary indexes and its cached atom network as access paths.
-  MQL DML statements (INSERT / DELETE / MODIFY) run through the same
-  pipeline: the write plan mutates the snapshot database atomically, and the
-  engine mirrors every change back into its stores.
+  engine's hash indexes and its cached atom network as access paths.  MQL
+  DML statements (INSERT / DELETE / MODIFY) run through the same pipeline:
+  the write plan mutates the database inside a transaction.
 
-Internally the engine keeps one :class:`AtomStore` per atom type and one
-:class:`LinkStore` per link type; :meth:`to_database` exports a consistent
-:class:`~repro.core.database.Database` snapshot for the algebra layers.
+Both components work on **one atom layer**: a single versioned
+:class:`~repro.core.database.Database`, created with the engine and never
+re-exported.  Basic-interface writes are plain mutations on it, DDL adds
+types to it in place, and :meth:`PrimaEngine.to_database` returns it.
 
-**Cache maintenance.**  The snapshot, the atom network, the hash-index pool
-and the planner statistics are cached together and — in the default
-``incremental`` mode — maintained *in place* on every write: the engine
-subscribes to the snapshot's change events and folds each atom/link delta
-into the cached structures, bumping a :attr:`generation` counter that the
-executor's index pool is stamped with (a pool whose generation matches the
-engine's is coherent by construction).  The ``rebuild`` mode restores the
-historical invalidate-everything behaviour — every write discards all caches
-and the next read rebuilds them from the stores; the mixed-workload benchmark
-compares the two.
+**Head reads see committed state only.**  The basic-interface reads and an
+unpinned :meth:`PrimaEngine.query` (outside the reader's own ``BEGIN WORK``
+session) run at the head while no transaction is active — with the index
+pool, atom network, columnar projections and structure indexes — and at a
+snapshot of the head that excludes uncommitted writers while one is.
+
+**Cache maintenance.**  The atom network, the hash-index pool, the planner
+statistics, the structure indexes and the columnar projections are derived
+from the database and — in the default ``incremental`` mode — maintained
+*in place* on every write: the engine subscribes to the database's change
+events and folds each atom/link delta into them, bumping a
+:attr:`generation` counter the derived structures are stamped with.  The
+``rebuild`` mode is the invalidate-everything baseline — every write drops
+all derived structures and the next read rebuilds them; the mixed-workload
+benchmark compares the two.
 
 **Durability.**  With ``durability=DurabilityConfig(directory)`` the engine
 opens (and crash-recovers) a write-ahead log on construction: change events
 are buffered per transaction and appended as one checksummed commit record
 when the transaction commits — atomically with the MVCC commit-log entry —
 so recovery (:mod:`repro.storage.recovery`) is pure redo of the committed
-prefix.  :meth:`PrimaEngine.checkpoint` (or MQL ``CHECKPOINT``) writes a
-compact catalog + occurrence image and truncates the log.
+prefix.  A basic-interface write is one commit record of its own.
+:meth:`PrimaEngine.checkpoint` (or MQL ``CHECKPOINT``) writes a compact
+catalog + occurrence image and truncates the log.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 
 from repro.analysis.runtime import make_lock, make_rlock
 from repro.analysis.runtime import checker_report as runtime_lock_report
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.atom import Atom, AtomType
 from repro.core.database import Database
-from repro.core.events import (
-    ATOM_DELETED,
-    ATOM_INSERTED,
-    ATOM_MODIFIED,
-    LINK_CONNECTED,
-    LINK_DISCONNECTED,
-    ChangeEvent,
-    Listener,
-)
+from repro.core.events import ChangeEvent
 from repro.core.link import Cardinality, Link, LinkType
 from repro.core.molecule import MoleculeType, MoleculeTypeDescription
 from repro.core.molecule_algebra import molecule_type_definition
-from repro.core.versions import Snapshot
-from repro.exceptions import StorageError, UnknownNameError
-from repro.storage.atom_store import AtomStore
-from repro.storage.link_store import LinkStore
+from repro.core.versions import DatabaseView, Snapshot
+from repro.exceptions import StorageError
 from repro.storage.network import AtomNetwork
 from repro.storage.recovery import RecoveryResult, describe_attributes, recover
 from repro.storage.columnar import ColumnarStore
@@ -82,23 +77,15 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
 INCREMENTAL = "incremental"
 REBUILD = "rebuild"
 
-#: MVCC statistics reported while no snapshot (and hence no version clock) exists.
-NO_VERSION_STATISTICS: Dict[str, object] = {
-    "versions_live": 0,
-    "versions_collected": 0,
-    "oldest_pinned_generation": None,
-    "pins_active": 0,
-}
-
 
 class PrimaEngine:
     """An in-memory, two-layer storage engine for MAD databases.
 
     *maintenance* selects the cache strategy: ``"incremental"`` (default)
-    folds every write into the cached snapshot, atom network, hash indexes
-    and planner statistics; ``"rebuild"`` invalidates everything on each
-    write and rebuilds lazily — the pre-write-pipeline behaviour, kept as
-    the benchmark baseline.
+    folds every write into the atom network, hash indexes, planner
+    statistics, structure indexes and columnar projections; ``"rebuild"``
+    drops them on each write and rebuilds lazily — kept as the benchmark
+    baseline.
 
     *durability* (a :class:`~repro.storage.wal.DurabilityConfig`) makes the
     engine persistent: construction recovers the directory's checkpoint and
@@ -120,34 +107,37 @@ class PrimaEngine:
             )
         self.name = name
         self.maintenance = maintenance
-        self._atom_stores: Dict[str, AtomStore] = {}
-        self._link_stores: Dict[str, LinkStore] = {}
-        self._cardinalities: Dict[str, Cardinality] = {}
-        self._snapshot: Optional[Database] = None
+        #: The engine's one occurrence store: every atom and link lives here
+        #: and nowhere else.  Subscribed below; never replaced.
+        self._database = Database(name)
         self._network: Optional[AtomNetwork] = None
         self._interpreter: Optional["MQLInterpreter"] = None
         self._index_pool: Optional["IndexPool"] = None
+        #: Rebuild mode: set by a write; the next read drops the derived
+        #: structures and rebuilds them.
         self._dirty = False
+        #: Declared secondary indexes per atom type (``create_index``), kept
+        #: for the checkpoint image; lookups use the executor's index pool.
+        self._declared_indexes: Dict[str, Set[str]] = {}
         #: Serializes basic-interface writes (store_atom/connect/delete_atom)
         #: and checkpoints against each other.
         self._write_lock = make_rlock("PrimaEngine._write_lock")
-        #: Guards lazy construction/teardown of the cached access structures
-        #: (snapshot, network, interpreter, index pool).
+        #: Guards lazy construction/teardown of the derived access
+        #: structures (network, interpreter, index pool).
         self._cache_lock = make_rlock("PrimaEngine._cache_lock")
-        #: The event path's lock: generation counter, stats, WAL routing,
-        #: store mirror and incremental cache maintenance fold one event at
-        #: a time.  Acquired *inside* the per-type head locks; only ever
-        #: acquires the true leaves below it — the interpreter's plan lock
-        #: and the WAL's lock (see DESIGN.md "Threading model").
+        #: The event path's lock: generation counter, stats, WAL routing and
+        #: incremental cache maintenance fold one event at a time.  Acquired
+        #: *inside* the per-type head locks; only ever acquires the true
+        #: leaves below it — the interpreter's plan lock and the WAL's lock
+        #: (see DESIGN.md "Threading model").
         self._event_lock = make_rlock("PrimaEngine._event_lock")
-        #: Per-thread mirror state: the ``_mirror`` guard flag and the
-        #: direct-write WAL buffer belong to the thread driving the write.
-        self._tls = threading.local()
         #: Monotonic write generation; cached access structures are stamped
         #: with the generation they are coherent with.
         self.generation = 0
         self._stats: Dict[str, int] = {
-            "snapshot_builds": 0,
+            # The database is built once, here; the counter stays for the
+            # benchmarks and CI checks that assert it never grows.
+            "snapshot_builds": 1,
             "network_builds": 0,
             "interpreter_builds": 0,
             "invalidations": 0,
@@ -166,10 +156,11 @@ class PrimaEngine:
         # -- durability state (all inert when durability is None) -----------
         self._durability = durability
         self._wal: Optional[WriteAheadLog] = None
-        #: Change events buffered per active transaction (keyed by ``id``);
-        #: flushed as one commit record when the transaction commits,
-        #: discarded when it rolls back — redo-only logging.  (Each entry is
-        #: appended and flushed by the one thread driving that transaction.)
+        #: Change events buffered per active writer (a transaction or one
+        #: basic-interface write, keyed by ``id``); flushed as one commit
+        #: record when the writer commits, discarded when it rolls back —
+        #: redo-only logging.  (Each entry is appended and flushed by the one
+        #: thread driving that writer.)
         self._wal_tx_pending: Dict[int, List[Dict[str, object]]] = {}
         self._recovery: Optional[RecoveryResult] = None
         self._checkpoints = 0
@@ -184,7 +175,13 @@ class PrimaEngine:
         #: this engine): every write — basic interface, DDL, transactions —
         #: is refused from then on.
         self._fenced = False  # guarded-by: PrimaEngine._write_lock
+        self._database.subscribe(self._on_change)
+        state = self._database.enable_versioning()
         if durability is not None:
+            # The WAL flushes a transaction's buffered events when it commits
+            # (and discards them when it rolls back); the hook fires inside
+            # Transaction.commit, right after the MVCC commit-log append.
+            state.transaction_hooks.append(self._wal_transaction_finished)
             # Recovery runs before the WAL opens for appending, so nothing
             # replayed here is ever re-logged.
             self._recovery = recover(self, durability)
@@ -197,23 +194,30 @@ class PrimaEngine:
 
     # ------------------------------------------------------------------ DDL
 
-    def create_atom_type(self, name: str, description) -> AtomStore:
-        """Create an atom type (backed by an :class:`AtomStore`)."""
+    def create_atom_type(self, name: str, description) -> AtomType:
+        """Create an (empty) atom type in the engine's database."""
+        return self._add_atom_type(AtomType(name, description))
+
+    def _add_atom_type(self, atom_type: AtomType) -> AtomType:
+        """DDL: add *atom_type* — possibly bulk-loaded — to the database.
+
+        A bulk-loaded type enters without ticking the generation or emitting
+        an event (or a WAL record) per atom; only the DDL record is logged.
+        """
         self._require_unfenced()
-        if name in self._atom_stores or name in self._link_stores:
-            raise StorageError(f"type name {name!r} already in use")
-        store = AtomStore(name, description)
-        self._atom_stores[name] = store
+        if atom_type.name in self._database:
+            raise StorageError(f"type name {atom_type.name!r} already in use")
+        self._database.add_atom_type(atom_type)
         self._invalidate()
         if self._wal is not None:
             self._wal.append_ddl(
                 {
                     "op": "atom_type",
-                    "name": name,
-                    "attributes": describe_attributes(store.description),
+                    "name": atom_type.name,
+                    "attributes": describe_attributes(atom_type.description),
                 }
             )
-        return store
+        return atom_type
 
     def create_link_type(
         self,
@@ -221,34 +225,46 @@ class PrimaEngine:
         first_type: str,
         second_type: str,
         cardinality: Cardinality = Cardinality.MANY_TO_MANY,
-    ) -> LinkStore:
-        """Create a link type (backed by a :class:`LinkStore`)."""
+    ) -> LinkType:
+        """Create an (empty) link type in the engine's database."""
+        return self._add_link_type(
+            LinkType(name, first_type, second_type, cardinality=cardinality)
+        )
+
+    def _add_link_type(self, link_type: LinkType) -> LinkType:
+        """DDL: add *link_type* — possibly bulk-loaded — to the database."""
         self._require_unfenced()
-        if name in self._atom_stores or name in self._link_stores:
-            raise StorageError(f"type name {name!r} already in use")
-        for type_name in (first_type, second_type):
-            if type_name not in self._atom_stores:
-                raise UnknownNameError(f"unknown atom type {type_name!r}")
-        store = LinkStore(name, first_type, second_type)
-        self._link_stores[name] = store
-        self._cardinalities[name] = cardinality
+        if link_type.name in self._database:
+            raise StorageError(f"type name {link_type.name!r} already in use")
+        self._database.add_link_type(link_type)  # UnknownNameError on bad endpoints
         self._invalidate()
         if self._wal is not None:
+            first_type, second_type = link_type.atom_type_names
             self._wal.append_ddl(
                 {
                     "op": "link_type",
-                    "name": name,
+                    "name": link_type.name,
                     "first": first_type,
                     "second": second_type,
-                    "cardinality": cardinality.value,
+                    "cardinality": link_type.cardinality.value,
                 }
             )
-        return store
+        return link_type
 
     def create_index(self, atom_type_name: str, attribute: str) -> None:
-        """Create a secondary index on ``atom_type_name.attribute``."""
+        """Declare a secondary index on ``atom_type_name.attribute``.
+
+        Lookups and pushed-down equality filters are answered by the
+        executor's index pool, which builds a hash index on first use and
+        maintains it from then on; the declaration is kept for the
+        checkpoint image.
+        """
         self._require_unfenced()
-        self._atom_store(atom_type_name).create_index(attribute)
+        if attribute not in self._database.atyp(atom_type_name).description:
+            raise StorageError(
+                f"cannot index unknown attribute {attribute!r} of {atom_type_name!r}"
+            )
+        self._declared_indexes.setdefault(atom_type_name, set()).add(attribute)
         if self._wal is not None:
             self._wal.append_ddl(
                 {"op": "index", "type": atom_type_name, "attribute": attribute}
@@ -267,11 +283,9 @@ class PrimaEngine:
         and maintained incrementally off the change-event stream.
         """
         self._require_unfenced()
-        self._atom_store(atom_type_name)  # existence check
-        link_store = self._link_stores.get(link_type_name)
-        if link_store is None:
-            raise UnknownNameError(f"unknown link type {link_type_name!r}")
-        if atom_type_name not in (link_store.first_type, link_store.second_type):
+        self._database.atyp(atom_type_name)  # existence check
+        link_type = self._database.ltyp(link_type_name)
+        if atom_type_name not in link_type.atom_type_names:
             raise StorageError(
                 f"link type {link_type_name!r} does not connect atom type "
                 f"{atom_type_name!r}"
@@ -298,212 +312,117 @@ class PrimaEngine:
 
     # --------------------------------------------- atom-oriented interface
 
-    def store_atom(self, atom_type_name: str, identifier: Optional[str] = None, **values) -> Atom:
-        """Insert (or replace) an atom — basic-component write operation.
+    @contextmanager
+    def _basic_write(self):
+        """Scope one basic-interface write on the database.
 
-        Basic-interface writes serialize on the engine's write lock so the
-        store mutation, the snapshot mirror and the WAL record form one
-        atomic operation even when several threads auto-commit concurrently.
+        Writes serialize on the engine's write lock and are refused once the
+        engine is fenced.  The write's change events take the one event path
+        (:meth:`_on_change`); attributing them to a writer token of their own
+        buffers them like a transaction's, so a multi-event write such as
+        :meth:`delete_atom` reaches the WAL as one commit record — or, when
+        it fails, not at all.
         """
         with self._write_lock:
             self._require_unfenced()
-            store = self._atom_store(atom_type_name)
-            with self._event_lock:
-                # Store mutations share the event lock with the transactional
-                # mirror path (_mirror_to_stores), so multi-step store
-                # updates (dict + hash indexes) never interleave.
-                atom = store.store(values, identifier=identifier)
-            snapshot = self._maintainable()
-            if snapshot is not None:
-                with self._mirror():
-                    atom_type = snapshot.atyp(atom_type_name)
-                    if atom_type.get(atom.identifier) is None:
-                        atom_type.add(atom)
-                    else:
-                        atom_type.replace(atom)
-            else:
-                self._after_write()
-                self._wal_direct(
-                    [
-                        encode_event(
-                            ChangeEvent(
-                                ATOM_INSERTED,
-                                atom_type_name,
-                                atom=atom,
-                                generation=self.generation,
-                            )
-                        )
-                    ]
-                )
-            return atom
+            state = self._database.versioning
+            writer = object()
+            token = state.begin_tracking(writer)
+            try:
+                yield
+            finally:
+                state.end_tracking(token)
+                records = self._wal_tx_pending.pop(id(writer), None)
+            if records:
+                self._wal.commit_events(records)
 
-    def get_atom(self, atom_type_name: str, identifier: str) -> Optional[Atom]:
-        """Point lookup — basic-component read operation."""
-        return self._atom_store(atom_type_name).get(identifier)
-
-    def lookup(self, atom_type_name: str, attribute: str, value: object) -> Tuple[Atom, ...]:
-        """Value lookup (indexed when possible) — basic-component read operation."""
-        return self._atom_store(atom_type_name).lookup(attribute, value)
-
-    def scan(self, atom_type_name: str) -> Tuple[Atom, ...]:
-        """Full scan of one atom type."""
-        return self._atom_store(atom_type_name).scan()
+    def store_atom(self, atom_type_name: str, identifier: Optional[str] = None, **values) -> Atom:
+        """Insert (or replace) an atom — basic-component write operation."""
+        with self._basic_write():
+            atom_type = self._database.atyp(atom_type_name)
+            atom = Atom(atom_type_name, values, identifier=identifier)
+            if atom_type.get(atom.identifier) is None:
+                return atom_type.add(atom)
+            return atom_type.replace(atom)
 
     def connect(self, link_type_name: str, first: "Atom | str", second: "Atom | str") -> Link:
         """Insert a link — basic-component write operation.
 
-        Cardinality restrictions live on the snapshot's link types, not the
-        stores; when the mirror rejects the link the store write is undone
-        before re-raising, so store and snapshot can never diverge.
+        The link type enforces its cardinality: a clashing link raises
+        :class:`~repro.exceptions.CardinalityError` and changes nothing.
         """
-        with self._write_lock:
-            self._require_unfenced()
-            store = self._link_store(link_type_name)
-            first_id = first.identifier if isinstance(first, Atom) else first
-            second_id = second.identifier if isinstance(second, Atom) else second
-            probe = Link(link_type_name, first_id, second_id, store.first_type, store.second_type)
-            existed = probe in store
-            with self._event_lock:
-                link = store.store(first_id, second_id)
-            snapshot = self._maintainable()
-            if snapshot is not None:
-                try:
-                    with self._mirror():
-                        snapshot.ltyp(link_type_name).connect(first_id, second_id)
-                except Exception:
-                    if not existed:
-                        with self._event_lock:
-                            store.delete(link)
-                    raise
-            else:
-                self._after_write()
-                self._wal_direct(
-                    [
-                        encode_event(
-                            ChangeEvent(
-                                LINK_CONNECTED,
-                                link_type_name,
-                                link=link,
-                                generation=self.generation,
-                            )
-                        )
-                    ]
-                )
-            return link
-
-    def neighbours(self, link_type_name: str, identifier: str) -> Tuple[str, ...]:
-        """Adjacent atom identifiers through one link type."""
-        return tuple(self._link_store(link_type_name).neighbours(identifier))
+        first_id = first.identifier if isinstance(first, Atom) else first
+        second_id = second.identifier if isinstance(second, Atom) else second
+        with self._basic_write():
+            return self._database.ltyp(link_type_name).connect(first_id, second_id)
 
     def delete_atom(self, atom_type_name: str, identifier: str) -> int:
         """Delete an atom and all its incident links; returns the links removed."""
-        with self._write_lock:
-            self._require_unfenced()
-            return self._delete_atom_locked(atom_type_name, identifier)
-
-    def _delete_atom_locked(self, atom_type_name: str, identifier: str) -> int:
-        snapshot = self._maintainable()
-        removed_links: List[Tuple[str, Link]] = []
-        if self._wal is not None and snapshot is None:
-            # The incident links must be captured before the stores drop them;
-            # in the maintainable path the snapshot mirror emits one event per
-            # removal instead.
-            for link_store in self._link_stores.values():
-                if atom_type_name in (link_store.first_type, link_store.second_type):
-                    removed_links.extend(
-                        (link_store.link_type_name, link)
-                        for link in link_store.links_of(identifier)
-                    )
-        with self._event_lock:
-            removed_atom = self._atom_store(atom_type_name).delete(identifier)
-            removed = 0
-            for store in self._link_stores.values():
-                if atom_type_name in (store.first_type, store.second_type):
-                    removed += store.delete_atom(identifier)
-        if snapshot is not None:
-            with self._mirror():
-                for link_type in snapshot.link_types_of(atom_type_name):
-                    link_type.remove_atom(identifier)
-                atom_type = snapshot.atyp(atom_type_name)
-                if atom_type.get(identifier) is not None:
-                    atom_type.remove(identifier)
-        else:
-            self._after_write()
-            records = [
-                encode_event(
-                    ChangeEvent(
-                        LINK_DISCONNECTED,
-                        link_type_name,
-                        link=link,
-                        generation=self.generation,
-                    )
+        with self._basic_write():
+            atom_type = self._database.atyp(atom_type_name)
+            if atom_type.get(identifier) is None:
+                raise StorageError(
+                    f"no atom {identifier!r} in atom type {atom_type_name!r}"
                 )
-                for link_type_name, link in removed_links
-            ]
-            records.append(
-                encode_event(
-                    ChangeEvent(
-                        ATOM_DELETED,
-                        atom_type_name,
-                        atom=removed_atom,
-                        generation=self.generation,
-                    )
-                )
+            removed = sum(
+                link_type.remove_atom(identifier)
+                for link_type in self._database.link_types_of(atom_type_name)
             )
-            self._wal_direct(records)
-        return removed
+            atom_type.remove(identifier)
+            return removed
+
+    def _committed_snapshot(self) -> Optional[Snapshot]:
+        """The snapshot a head read must run at, or ``None`` for the head.
+
+        While a transaction is active its uncommitted writes sit at the
+        head; :meth:`~repro.core.versions.VersioningState.make_snapshot`
+        excludes them.  Otherwise the head *is* the committed state.
+        """
+        state = self._database.versioning
+        if not state.active_transactions:
+            return None
+        return state.make_snapshot()
+
+    def _read_view(self) -> "Database | DatabaseView":
+        """The database as a basic-interface read may see it (committed only)."""
+        snapshot = self._committed_snapshot()
+        return self._database if snapshot is None else self._database.at(snapshot)
+
+    def get_atom(self, atom_type_name: str, identifier: str) -> Optional[Atom]:
+        """Point lookup — basic-component read operation."""
+        return self._read_view().atyp(atom_type_name).get(identifier)
+
+    def lookup(self, atom_type_name: str, attribute: str, value: object) -> Tuple[Atom, ...]:
+        """Value lookup through the index pool — basic-component read operation."""
+        view = self._read_view()
+        atom_type = view.atyp(atom_type_name)
+        if view is not self._database:
+            return tuple(atom for atom in atom_type if atom.get(attribute) == value)
+        with self._cache_lock:
+            self.interpreter()  # builds the index pool alongside
+            identifiers = self._index_pool.lookup(atom_type_name, attribute, value)
+        atoms = (atom_type.get(identifier) for identifier in identifiers)
+        return tuple(atom for atom in atoms if atom is not None)
+
+    def scan(self, atom_type_name: str) -> Tuple[Atom, ...]:
+        """Full scan of one atom type."""
+        return tuple(self._read_view().atyp(atom_type_name))
+
+    def neighbours(self, link_type_name: str, identifier: str) -> Tuple[str, ...]:
+        """Adjacent atom identifiers through one link type."""
+        return tuple(self._read_view().ltyp(link_type_name).partners_of(identifier))
 
     # --------------------------------------------- molecule-processing layer
 
     def to_database(self) -> Database:
-        """Export a :class:`Database` snapshot of the current engine contents.
+        """The engine's :class:`Database` — its one occurrence store.
 
-        The snapshot is cached; in incremental mode it is maintained in place
-        across writes (the engine subscribes to its change events), so
-        repeated molecule queries over a mutating engine never re-export.
-        Mutations applied directly to the snapshot — e.g. by MQL DML write
-        plans or the manipulation API — are mirrored back into the stores.
+        Mutations applied to it directly — by MQL DML write plans, the
+        manipulation API or a second interpreter — reach the engine's change
+        listener like any other write: they are logged and folded into the
+        derived access structures.
         """
-        with self._cache_lock:
-            return self._to_database_locked()
-
-    def _to_database_locked(self) -> Database:
-        self._check_dirty()
-        if self._snapshot is not None:
-            return self._snapshot
-        db = Database(self.name)
-        for store in self._atom_stores.values():
-            atom_type = AtomType(store.atom_type_name, store.description)
-            for atom in store:
-                atom_type.add(atom)
-            db.add_atom_type(atom_type)
-        for store in self._link_stores.values():
-            link_type = LinkType(
-                store.link_type_name,
-                store.first_type,
-                store.second_type,
-                cardinality=self._cardinalities.get(store.link_type_name, Cardinality.MANY_TO_MANY),
-            )
-            for link in store:
-                first, second = link.given_order
-                link_type.add(Link(store.link_type_name, first, second, store.first_type, store.second_type))
-            db.add_link_type(link_type)
-        db.subscribe(self._listener_for(db))
-        # The snapshot carries the MVCC state: its version clock continues
-        # the engine's write generation, so event stamps and the engine's
-        # counter stay in lock-step.
-        state = db.enable_versioning(start_generation=self.generation)
-        # A fence outlives cache invalidation: rebuilt snapshots carry it so
-        # transactions on them keep refusing after the caches turn over.
-        state.fenced = self._fenced
-        if self._durability is not None:
-            # The WAL flushes a transaction's buffered events when it commits
-            # (and discards them when it rolls back); the hook fires inside
-            # Transaction.commit, right after the MVCC commit-log append.
-            state.transaction_hooks.append(self._wal_transaction_finished)
-        self._snapshot = db
-        self._stats["snapshot_builds"] += 1
-        return db
+        return self._database
 
     def define_molecule_type(
         self,
@@ -512,7 +431,7 @@ class PrimaEngine:
         directed_links: Sequence = (),
     ) -> MoleculeType:
         """Molecule-type definition (α) over the engine's current contents."""
-        return molecule_type_definition(self.to_database(), name, atom_type_names, directed_links)
+        return molecule_type_definition(self._database, name, atom_type_names, directed_links)
 
     def query(self, statement: str, optimize: bool = True) -> "QueryResult":
         """Execute an MQL statement over the engine's current contents.
@@ -520,14 +439,28 @@ class PrimaEngine:
         Statements run through the planner → streaming-executor pipeline by
         default; ``optimize=False`` executes the literal α→Σ→Π translation
         through the materializing molecule algebra instead.  DML statements
-        (INSERT / DELETE / MODIFY) execute atomically against the snapshot;
-        every change is mirrored into the stores and folded into the cached
-        access structures.  ``BEGIN WORK`` / ``COMMIT WORK`` / ``ROLLBACK
-        WORK`` scope the engine's interpreter session as one transaction with
-        repeatable reads and first-committer-wins conflict detection; for
-        pinned read-only views see :meth:`snapshot_at`.
+        (INSERT / DELETE / MODIFY) execute atomically against the database;
+        every change is folded into the cached access structures.  ``BEGIN
+        WORK`` / ``COMMIT WORK`` / ``ROLLBACK WORK`` scope the engine's
+        interpreter session as one transaction with repeatable reads and
+        first-committer-wins conflict detection; for pinned read-only views
+        see :meth:`snapshot_at`.
+
+        Outside that session a read sees committed state only: while another
+        transaction is active it runs at a snapshot of the head that
+        excludes the uncommitted writers (the literal path cannot serve a
+        snapshot and raises then).
         """
-        return self.interpreter().execute(statement, optimize=optimize)
+        interpreter = self.interpreter()
+        snapshot = None if interpreter.in_transaction else self._committed_snapshot()
+        if snapshot is not None:
+            from repro.mql.ast_nodes import Query, SetOperation
+            from repro.mql.parser import parse  # deferred: package cycle
+
+            statement = parse(statement) if isinstance(statement, str) else statement
+            if isinstance(statement, (Query, SetOperation)):
+                return interpreter.execute(statement, optimize=optimize, at=snapshot)
+        return interpreter.execute(statement, optimize=optimize)
 
     def plan(self, statement: str) -> "PlanChoice":
         """Return the planner's costed plan choice for *statement*.
@@ -541,11 +474,11 @@ class PrimaEngine:
         """The cached MQL interpreter bound to the engine's access structures.
 
         The interpreter's executor answers pushed-down equality filters
-        through hash indexes built (on demand, then cached) from the same
-        snapshot it queries, and traverses the cached atom network during the
-        hierarchical join.  In incremental mode writes are folded into those
-        structures in place; in rebuild mode any write discards them and this
-        method rebuilds everything on its next call.
+        through hash indexes built (on demand, then cached) over the
+        database it queries, and traverses the cached atom network during
+        the hierarchical join.  In incremental mode writes are folded into
+        those structures in place; in rebuild mode any write drops them and
+        this method rebuilds everything on its next call.
         """
         with self._cache_lock:
             self._check_dirty()
@@ -553,7 +486,7 @@ class PrimaEngine:
                 from repro.engine.executor import Executor, IndexPool
                 from repro.mql.interpreter import MQLInterpreter
 
-                database = self.to_database()
+                database = self._database
                 self._index_pool = IndexPool(database)
                 self._index_pool.generation = self.generation
                 self._structure_indexes.stamp(self.generation)
@@ -586,7 +519,7 @@ class PrimaEngine:
         with self._cache_lock:
             self._check_dirty()
             if self._network is None:
-                self._network = AtomNetwork(self.to_database())
+                self._network = AtomNetwork(self._database)
                 self._network.generation = self.generation
                 self._stats["network_builds"] += 1
             return self._network
@@ -782,16 +715,10 @@ class PrimaEngine:
         :meth:`checkpoint`) keep working.  Idempotent.
         """
         with self._write_lock:
-            snapshot = self._snapshot
-            state = snapshot.versioning if snapshot is not None else None
-            if state is not None:
-                with state.lock:
-                    self._fenced = True
-                    state.fenced = True
-            else:
-                # No snapshot exists; _to_database_locked propagates the
-                # flag into the next one it builds.
+            state = self._database.versioning
+            with state.lock:
                 self._fenced = True
+                state.fenced = True
 
     @property
     def fenced(self) -> bool:
@@ -816,8 +743,8 @@ class PrimaEngine:
         The pin and the feed cut are taken inside the versioning engine
         lock, the same critical section transactional commits append their
         WAL record in — a commit is therefore either visible at the pin
-        *and* included in the cut, or neither.  (Non-transactional direct
-        store writes flush their record outside that lock; interleaving one
+        *and* included in the cut, or neither.  (Basic-interface writes
+        flush their record outside that lock; interleaving one
         with the pin can put the cut one record past the pin, which only
         matters if the caller races direct writes against the dispatch.)
         """
@@ -1098,9 +1025,7 @@ class PrimaEngine:
 
     def collect_versions(self) -> Dict[str, object]:
         """Run version-chain garbage collection; returns the GC statistics."""
-        if self._snapshot is None:
-            return dict(NO_VERSION_STATISTICS)
-        return self._snapshot.collect_versions()
+        return self._database.collect_versions()
 
     # ---------------------------------------------------- durability and WAL
 
@@ -1147,10 +1072,11 @@ class PrimaEngine:
         rename over the previous image, fsync the directory, *then* truncate
         the log — a crash between any two steps leaves a state recovery
         handles (old image + full log, or new image + full log, both of which
-        replay to the committed head because replay is idempotent).  Refused
-        while any transaction is active: the stores then carry uncommitted
-        mirror state that must not enter an image.  Holds the engine's write
-        lock so no basic-interface write can interleave with the image.
+        replay to the committed head because replay is idempotent).  The
+        image is the database's head, so it is refused while any transaction
+        is active: the head then carries uncommitted writes that must not
+        enter an image.  Holds the engine's write lock so no basic-interface
+        write can interleave with the image.
         """
         with self._write_lock:
             return self._checkpoint_locked()
@@ -1166,19 +1092,17 @@ class PrimaEngine:
             # failing to truncate would otherwise leave a half-finished
             # checkpoint behind a closed engine.
             raise StorageError("cannot checkpoint a closed engine; reopen the directory")
-        from contextlib import nullcontext
-
         from repro.storage.recovery import write_checkpoint  # deferred: cycle hygiene
 
-        state = self._snapshot.versioning if self._snapshot is not None else None
+        state = self._database.versioning
         # The quiescence check, the image and the truncate form one critical
-        # section of the versioning engine lock (when one exists): a
-        # transaction beginning (or any mutation ticking) after the check
-        # would otherwise mirror uncommitted state into the stores
-        # mid-image.  Checkpoints are rare and explicitly quiescent;
-        # stalling pins/commits for the image write is the intended trade.
-        with state.lock if state is not None else nullcontext():
-            if (state is not None and state.active_transactions) or self._wal_tx_pending:
+        # section of the versioning engine lock: a transaction beginning (or
+        # any mutation ticking) after the check would otherwise put
+        # uncommitted state into the image.  Checkpoints are rare and
+        # explicitly quiescent; stalling pins/commits for the image write is
+        # the intended trade.
+        with state.lock:
+            if state.active_transactions or self._wal_tx_pending:
                 raise StorageError(
                     "cannot checkpoint while transactions are active; "
                     "COMMIT WORK or ROLLBACK WORK first"
@@ -1190,8 +1114,8 @@ class PrimaEngine:
             "path": str(path),
             "checkpoints": self._checkpoints,
             "generation": self.generation,
-            "atoms": sum(len(store) for store in self._atom_stores.values()),
-            "links": sum(len(store) for store in self._link_stores.values()),
+            "atoms": self._database.atom_count(),
+            "links": self._database.link_count(),
         }
 
     def close(self) -> None:
@@ -1213,31 +1137,21 @@ class PrimaEngine:
         if self._wal is not None:
             self._wal.close()
 
-    def _wal_direct(self, records: "List[Dict[str, object]]") -> None:
-        """Log one auto-committed basic-interface write (no transaction)."""
-        if self._wal is not None and records:
-            self._wal.commit_events(records)
-
-    def _wal_capture(self, event: ChangeEvent, source: Database) -> None:
+    def _wal_capture(self, event: ChangeEvent) -> None:
         """Route one change event into the WAL's buffers.
 
-        Events produced inside a transaction's tracked block are buffered
-        under that transaction (flushed at commit, dropped at rollback);
-        events of a basic-interface store write collect in the mirror buffer
-        (one record per operation); everything else — a direct snapshot
-        mutation outside any transaction — auto-commits immediately.
-
-        Both the writer attribution (``current_writer``) and the mirror
-        buffer are thread-local, so concurrent writers on other threads can
-        never interleave their events into this thread's records.
+        Events of an attributed writer — a transaction's tracked block, or
+        one basic-interface write — are buffered under that writer (flushed
+        at its commit, dropped at rollback); everything else — a direct
+        database mutation outside any writer — auto-commits immediately.
+        The writer attribution (``current_writer``) is thread-local, so
+        concurrent writers on other threads never interleave their events
+        into this thread's records.
         """
-        state = source.versioning
-        writer = state.current_writer if state is not None else None
+        writer = self._database.versioning.current_writer
         record = encode_event(event)
         if writer is not None:
             self._wal_tx_pending.setdefault(id(writer), []).append(record)
-        elif self._mirroring:
-            self._direct_buffer().append(record)
         else:
             self._wal.commit_events([record])
 
@@ -1259,98 +1173,25 @@ class PrimaEngine:
 
     # -------------------------------------------------- cache maintenance
 
-    def _maintainable(self) -> Optional[Database]:
-        """The live snapshot a write can be folded into, or ``None``.
+    def _on_change(self, event: ChangeEvent) -> None:
+        """Fold one change event of the database into the WAL and every
+        derived structure.
 
-        Returns the snapshot *object* (not a boolean) so callers hold a
-        stable reference: a concurrent cache teardown may null
-        ``self._snapshot`` mid-write, and re-reading the attribute would
-        crash.  Writing into a just-discarded snapshot is safe — its
-        listener path degrades to the stale-handle invalidate-on-next-read
-        behaviour.
-        """
-        if self.maintenance == INCREMENTAL and not self._dirty:
-            return self._snapshot
-        return None
-
-    @property
-    def _mirroring(self) -> bool:
-        """``True`` while *this thread* is inside a :meth:`_mirror` block."""
-        return getattr(self._tls, "mirroring", False)
-
-    def _direct_buffer(self) -> "List[Dict[str, object]]":
-        """This thread's buffer of one in-flight basic-interface write."""
-        buffer = getattr(self._tls, "direct_buffer", None)
-        if buffer is None:
-            buffer = []
-            self._tls.direct_buffer = buffer
-        return buffer
-
-    @contextmanager
-    def _mirror(self):
-        """Mark snapshot mutations that originated from a store write.
-
-        Inside the guard, :meth:`_on_change` skips the store mirror (the
-        store was already written) but still maintains the derived caches.
-        The events of the guarded block form one basic-interface operation;
-        on success they are flushed to the WAL as a single commit record, on
-        failure (the store write was undone) they are discarded.  The guard
-        flag and buffer are thread-local: mirror blocks on other threads
-        neither see this block's events nor flush them.
-        """
-        self._tls.mirroring = True
-        try:
-            yield
-        except BaseException:
-            self._direct_buffer().clear()
-            raise
-        finally:
-            self._tls.mirroring = False
-        buffer = self._direct_buffer()
-        if buffer:
-            records = list(buffer)
-            buffer.clear()
-            self._wal_direct(records)
-
-    def _listener_for(self, snapshot: Database) -> Listener:
-        """A change listener that remembers which snapshot it watches.
-
-        Snapshots are never unsubscribed: a write through a *stale* handle
-        (one the engine has since discarded) must still reach the stores —
-        it just degrades to invalidate-on-next-read instead of incremental
-        maintenance, because the current caches never saw it.
-        """
-
-        def listener(event: ChangeEvent, _source: Database = snapshot) -> None:
-            self._on_change(event, _source)
-
-        return listener
-
-    def _on_change(self, event: ChangeEvent, source: Database) -> None:
-        """Fold one snapshot change event into stores and cached structures.
-
+        The one event path: basic-interface writes, MQL DML, transactions on
+        other interpreters and replayed WAL records all arrive here.
         Serialized on the engine's event lock: concurrent writer threads
         emit events one at a time (each already holds its type's head lock),
-        and the store mirror plus every incremental cache apply exactly one
-        delta at a time.  The event lock acquires only the true leaves (the
-        interpreter's plan lock, the WAL lock), so holding a head lock here
-        can never deadlock.
+        and every incremental structure applies exactly one delta at a time.
+        The event lock acquires only the true leaves (the interpreter's plan
+        lock, the WAL lock), so holding a head lock here can never deadlock.
         """
         with self._event_lock:
-            # The snapshot's version clock stamps every event; the engine
-            # counter follows it (max() also absorbs stale-handle writes
-            # whose discarded snapshot still ticks its own, older clock).
+            # The database's version clock stamps every event; the engine
+            # counter follows it.
             self.generation = max(self.generation + 1, event.generation or 0)
             self._stats["events_applied"] += 1
             if self._wal is not None:
-                self._wal_capture(event, source)
-            if not self._mirroring:
-                self._mirror_to_stores(event)
-            if source is not self._snapshot:
-                # Stale-handle write: the stores are up to date, the caches
-                # never saw it — defer the teardown to the next read.
-                self._dirty = True
-                return
+                self._wal_capture(event)
             if self.maintenance == REBUILD and not self._session_active():
                 # The invalidate-everything baseline — but never while a
                 # BEGIN WORK session holds the interpreter: tearing it down
@@ -1370,46 +1211,14 @@ class PrimaEngine:
             if self._interpreter is not None:
                 self._interpreter.apply_event(event)
 
-    def _mirror_to_stores(self, event: ChangeEvent) -> None:
-        """Replay a snapshot-originated mutation on the backing stores."""
-        if event.kind in (ATOM_INSERTED, ATOM_MODIFIED):
-            store = self._atom_stores.get(event.type_name)
-            if store is not None:
-                store.store(event.atom)
-        elif event.kind == ATOM_DELETED:
-            store = self._atom_stores.get(event.type_name)
-            if store is not None and event.atom.identifier in store:
-                store.delete(event.atom.identifier)
-        elif event.kind == LINK_CONNECTED:
-            store = self._link_stores.get(event.type_name)
-            if store is not None:
-                first, second = event.link.given_order
-                store.store(first, second)
-        elif event.kind == LINK_DISCONNECTED:
-            store = self._link_stores.get(event.type_name)
-            if store is not None:
-                store.delete(event.link)
-
     def _session_active(self) -> bool:
         """``True`` while the cached interpreter runs a ``BEGIN WORK`` session."""
         return self._interpreter is not None and getattr(
             self._interpreter, "in_transaction", False
         )
 
-    def _after_write(self) -> None:
-        """Account a store write that has no live snapshot to maintain.
-
-        The generation bump shares the event lock with :meth:`_on_change` —
-        the counter has exactly one guard, so ticks can never be lost
-        between a direct store write and a concurrent snapshot mutation.
-        """
-        with self._event_lock:
-            self.generation += 1
-            if self.maintenance == REBUILD:
-                self._dirty = True
-
     def _advance_generation(self, generation: int) -> None:
-        """Fast-forward the write generation (and the live snapshot's version
+        """Fast-forward the write generation (and the database's version
         clock) to *generation* across ticks that changed nothing here.
 
         Replay calls this after a feed slice: the primary's commit stamps,
@@ -1417,12 +1226,10 @@ class PrimaEngine:
         event.  The cached structures stay coherent across such ticks, so
         they are stamped with the new generation and pinned reads keep them.
         """
-        snapshot = self._snapshot
-        if snapshot is not None:
-            state = snapshot.versioning
-            with state.lock:
-                state.generation = max(state.generation, generation)
-                generation = state.generation
+        state = self._database.versioning
+        with state.lock:
+            state.generation = max(state.generation, generation)
+            generation = state.generation
         with self._event_lock:
             self.generation = max(self.generation, generation)
             for structure in (self._network, self._index_pool):
@@ -1438,17 +1245,15 @@ class PrimaEngine:
             self._dirty = False
 
     def _invalidate(self) -> None:
-        """Discard every cached access structure (DDL and rebuild mode).
+        """Drop every derived access structure (DDL and rebuild mode).
 
-        The discarded snapshot deliberately stays subscribed: writes through
-        a stale handle keep reaching the stores (see :meth:`_listener_for`).
+        The database itself stays: only what is derived from it is rebuilt.
         """
-        self._snapshot = None
         self._network = None
         self._interpreter = None
         self._index_pool = None
         # Registrations and counters survive; only the encodings go stale
-        # (the next head use rebuilds them from the fresh snapshot).
+        # (the next head use rebuilds them from the database).
         self._structure_indexes.mark_all_stale()
         self._columnar.mark_all_stale()
         self._stats["invalidations"] += 1
@@ -1456,9 +1261,10 @@ class PrimaEngine:
     def maintenance_statistics(self) -> Dict[str, int]:
         """Build/rebuild counters plus the current write generation.
 
-        ``snapshot_builds`` / ``network_builds`` / ``interpreter_builds``
-        count full (re)constructions — in incremental steady state they stay
-        at 1 while ``events_applied`` grows; ``index_generation`` equals
+        ``snapshot_builds`` is 1 — the database is built once, with the
+        engine; ``network_builds`` / ``interpreter_builds`` count full
+        (re)constructions — in incremental steady state they stay at 1 while
+        ``events_applied`` grows; ``index_generation`` equals
         ``generation`` whenever the executor's index pool is coherent.
         """
         report = dict(self._stats)
@@ -1506,10 +1312,7 @@ class PrimaEngine:
         report["network_generation"] = (
             self._network.generation if self._network is not None else 0
         )
-        if self._snapshot is not None and self._snapshot.versioning is not None:
-            report.update(self._snapshot.version_statistics())
-        else:
-            report.update(NO_VERSION_STATISTICS)
+        report.update(self._database.version_statistics())
         report["wal_bytes"] = self._wal.bytes_written if self._wal is not None else 0
         report["wal_records"] = self._wal.records_written if self._wal is not None else 0
         report["wal_syncs"] = self._wal.syncs if self._wal is not None else 0
@@ -1574,25 +1377,37 @@ class PrimaEngine:
         maintenance: str = INCREMENTAL,
         durability: Optional[DurabilityConfig] = None,
     ) -> "PrimaEngine":
-        """Bulk-load an engine from an existing database.
+        """Bulk-load an engine from a copy of an existing database.
 
-        With *durability* (expects a fresh directory) the bulk load bypasses
-        the log and is persisted as the first checkpoint instead — the cheap
-        way to make a dataset durable.
+        Each type is copied fully populated before it is added, so the load
+        ticks no generation and emits no per-atom event; *database* itself
+        is never adopted or mutated.  With *durability* (expects a fresh
+        directory) the bulk load bypasses the log and is persisted as the
+        first checkpoint instead — the cheap way to make a dataset durable.
         """
         engine = cls(name or database.name, maintenance=maintenance, durability=durability)
         for atom_type in database.atom_types:
-            store = engine.create_atom_type(atom_type.name, atom_type.description)
-            for atom in atom_type:
-                store.store(atom)
-        for link_type in database.link_types:
-            store = engine.create_link_type(
-                link_type.name, *link_type.atom_type_names, cardinality=link_type.cardinality
+            # Fresh atoms, validated and allocated together: sharing the
+            # caller's Atom objects made molecule reads measurably slower
+            # (point_lookup p99 +18%).
+            engine._add_atom_type(
+                AtomType(atom_type.name, atom_type.description, atom_type)
             )
-            for link in link_type:
-                first, second = link.given_order
-                store.store(first, second)
-        engine._invalidate()
+        for link_type in database.link_types:
+            first_type, second_type = link_type.atom_type_names
+            links = [
+                Link(link_type.name, *link.given_order, first_type, second_type)
+                for link in link_type
+            ]
+            engine._add_link_type(
+                LinkType(
+                    link_type.name,
+                    first_type,
+                    second_type,
+                    links,
+                    cardinality=link_type.cardinality,
+                )
+            )
         if durability is not None:
             engine.checkpoint()
         return engine
@@ -1600,38 +1415,16 @@ class PrimaEngine:
     # ------------------------------------------------------------ statistics
 
     def statistics(self) -> Dict[str, Dict[str, int]]:
-        """Read/write counters per store (used by the storage tests and benches)."""
+        """Occurrence counts per atom type and per link type."""
         return {
-            "atoms": {name: len(store) for name, store in self._atom_stores.items()},
-            "links": {name: len(store) for name, store in self._link_stores.items()},
-            "reads": {
-                name: store.reads
-                for name, store in {**self._atom_stores, **self._link_stores}.items()
-            },
-            "writes": {
-                name: store.writes
-                for name, store in {**self._atom_stores, **self._link_stores}.items()
-            },
+            "atoms": {atom_type.name: len(atom_type) for atom_type in self._database.atom_types},
+            "links": {link_type.name: len(link_type) for link_type in self._database.link_types},
         }
-
-    # ---------------------------------------------------------------- helpers
-
-    def _atom_store(self, name: str) -> AtomStore:
-        try:
-            return self._atom_stores[name]
-        except KeyError as exc:
-            raise UnknownNameError(f"unknown atom type {name!r}") from exc
-
-    def _link_store(self, name: str) -> LinkStore:
-        try:
-            return self._link_stores[name]
-        except KeyError as exc:
-            raise UnknownNameError(f"unknown link type {name!r}") from exc
 
     def __repr__(self) -> str:
         return (
-            f"PrimaEngine({self.name!r}, atom_types={len(self._atom_stores)}, "
-            f"link_types={len(self._link_stores)}, maintenance={self.maintenance!r})"
+            f"PrimaEngine({self.name!r}, atom_types={len(self._database.atom_types)}, "
+            f"link_types={len(self._database.link_types)}, maintenance={self.maintenance!r})"
         )
 
 

@@ -11,20 +11,24 @@ durability directory in two phases:
    crash mid-checkpoint leaves the old image intact.
 2. **WAL replay** — every valid record after the checkpoint is applied in
    append order: DDL records re-create types and indexes, commit records
-   replay their change events against the stores.  Only committed
-   transactions ever reach the log (events are buffered per transaction and
+   replay their change events against the engine's database.  Only committed
+   transactions ever reach the log (events are buffered per writer and
    written as one record at commit), and :func:`repro.storage.wal.read_wal`
    discards torn final records by checksum — so replay is pure redo and the
    recovered state is exactly the pre-crash committed head.
 
-After replay the engine's write generation continues from the highest stamp
-seen, and the atom surrogate counter is bumped past every replayed surrogate
-identifier so new inserts cannot collide with recovered atoms.
+The checkpoint image is bulk-loaded: each type enters the engine's database
+fully populated, without a generation tick or change event per atom.  The
+WAL tail then replays as ordinary mutations on that database, so the
+engine's change listener folds every replayed event into the derived
+structures exactly as it folds a live write.  After replay the engine's
+write generation continues from the highest stamp seen, and the atom
+surrogate counter is bumped past every replayed surrogate identifier so new
+inserts cannot collide with recovered atoms.
 
-The WAL replay step, :func:`replay_records`, is also how followers and
-process-pool workers apply the primary's shipped records: on an engine that
-already has a live snapshot it replays them as snapshot mutations, so every
-cached structure is maintained instead of rebuilt.
+The WAL replay step, :func:`replay_records`, is also how follower seeding,
+hub catch-up, file polling and process-pool catch-up apply the primary's
+shipped records — one apply path for all of them.
 """
 
 from __future__ import annotations
@@ -36,16 +40,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
-from repro.core.atom import Atom, ensure_surrogate_counter
+from repro.core.atom import Atom, AtomType, ensure_surrogate_counter
 from repro.core.attributes import AtomTypeDescription, AttributeDescription
-from repro.core.events import (
-    ATOM_DELETED,
-    ATOM_INSERTED,
-    ATOM_MODIFIED,
-    LINK_CONNECTED,
-    LINK_DISCONNECTED,
-    ChangeEvent,
-)
 from repro.core.link import Cardinality, Link, LinkType
 from repro.exceptions import CardinalityError
 from repro.storage.wal import (
@@ -125,34 +121,30 @@ def restore_attributes(serialized: Iterable[Dict[str, object]]) -> AtomTypeDescr
 
 
 def checkpoint_image(engine: "PrimaEngine") -> Dict[str, object]:
-    """A compact catalog + occurrence image of the engine's stores."""
-    atom_types = []
-    for store in engine._atom_stores.values():
-        atom_types.append(
-            {
-                "name": store.atom_type_name,
-                "attributes": describe_attributes(store.description),
-                "atoms": [
-                    {"id": atom.identifier, "v": encode_value(atom.values)}
-                    for atom in sorted(store, key=lambda a: a.identifier)
-                ],
-                "indexes": sorted(
-                    name for name in store.description.names if store.has_index(name)
-                ),
-            }
-        )
-    link_types = []
-    for store in engine._link_stores.values():
-        cardinality = engine._cardinalities.get(store.link_type_name)
-        link_types.append(
-            {
-                "name": store.link_type_name,
-                "first": store.first_type,
-                "second": store.second_type,
-                "cardinality": (cardinality or Cardinality.MANY_TO_MANY).value,
-                "links": sorted(link.given_order for link in store),
-            }
-        )
+    """A compact catalog + occurrence image of the engine's database head."""
+    database = engine.to_database()
+    atom_types = [
+        {
+            "name": atom_type.name,
+            "attributes": describe_attributes(atom_type.description),
+            "atoms": [
+                {"id": atom.identifier, "v": encode_value(atom.values)}
+                for atom in sorted(atom_type, key=lambda a: a.identifier)
+            ],
+            "indexes": sorted(engine._declared_indexes.get(atom_type.name, ())),
+        }
+        for atom_type in database.atom_types
+    ]
+    link_types = [
+        {
+            "name": link_type.name,
+            "first": link_type.atom_type_names[0],
+            "second": link_type.atom_type_names[1],
+            "cardinality": link_type.cardinality.value,
+            "links": sorted(link.given_order for link in link_type),
+        }
+        for link_type in database.link_types
+    ]
     return {
         "format": CHECKPOINT_FORMAT,
         "name": engine.name,
@@ -212,30 +204,42 @@ def _fsync_directory(directory: Path) -> None:
 
 
 def apply_checkpoint(engine: "PrimaEngine", image: Dict[str, object]) -> int:
-    """Recreate catalog and occurrences from a checkpoint image; returns the
-    highest surrogate ordinal seen."""
+    """Bulk-load catalog and occurrences from a checkpoint image and move the
+    engine to the image's generation; returns the highest surrogate ordinal
+    seen."""
     highest = 0
     for entry in image.get("atom_types", ()):
-        store = engine.create_atom_type(entry["name"], restore_attributes(entry["attributes"]))
-        for record in entry.get("atoms", ()):
-            identifier = record["id"]
-            store.store(Atom(entry["name"], decode_value(record["v"]), identifier=identifier))
-            highest = max(highest, _surrogate_ordinal(identifier))
+        name = entry["name"]
+        atoms = [
+            Atom(name, decode_value(record["v"]), identifier=record["id"])
+            for record in entry.get("atoms", ())
+        ]
+        engine._add_atom_type(AtomType(name, restore_attributes(entry["attributes"]), atoms))
+        for atom in atoms:
+            highest = max(highest, _surrogate_ordinal(atom.identifier))
         for attribute in entry.get("indexes", ()):
-            store.create_index(attribute)
+            engine.create_index(name, attribute)
     for entry in image.get("link_types", ()):
-        engine.create_link_type(
-            entry["name"],
-            entry["first"],
-            entry["second"],
-            cardinality=Cardinality(entry.get("cardinality", Cardinality.MANY_TO_MANY.value)),
+        name, first_type, second_type = entry["name"], entry["first"], entry["second"]
+        links = [
+            Link(name, first, second, first_type, second_type)
+            for first, second in entry.get("links", ())
+        ]
+        engine._add_link_type(
+            LinkType(
+                name,
+                first_type,
+                second_type,
+                links,
+                cardinality=Cardinality(
+                    entry.get("cardinality", Cardinality.MANY_TO_MANY.value)
+                ),
+            )
         )
-        store = engine._link_stores[entry["name"]]
-        for first, second in entry.get("links", ()):
-            store.store(first, second)
     for atom_type, link_type, direction in image.get("structure_indexes", ()):
         engine.create_structure_index(atom_type, link_type, direction)
     engine._structure_indexes.restore_states(image.get("structure_encodings", ()))
+    engine._advance_generation(int(image.get("generation", 0)))
     return highest
 
 
@@ -248,11 +252,12 @@ def apply_ddl_record(engine: "PrimaEngine", record: Dict[str, object]) -> None:
     replay, DDL replay must be idempotent for that window to be safe.
     """
     op = record.get("op")
+    database = engine.to_database()
     if op == "atom_type":
-        if record["name"] not in engine._atom_stores:
+        if not database.has_atom_type(record["name"]):
             engine.create_atom_type(record["name"], restore_attributes(record["attributes"]))
     elif op == "link_type":
-        if record["name"] not in engine._link_stores:
+        if not database.has_link_type(record["name"]):
             engine.create_link_type(
                 record["name"],
                 record["first"],
@@ -271,60 +276,6 @@ def apply_ddl_record(engine: "PrimaEngine", record: Dict[str, object]) -> None:
         raise WalError(f"unknown DDL operation {op!r} in WAL record")
 
 
-def apply_event_record(engine: "PrimaEngine", event: Dict[str, object]) -> int:
-    """Replay one serialized change event against the stores; returns the
-    highest surrogate ordinal it introduced.
-
-    Each replayed mutation is also folded into the structure-index store as a
-    :class:`~repro.core.events.ChangeEvent` — encodings restored from the
-    checkpoint image stay coherent across the WAL tail exactly as they do
-    across live writes (and mark themselves stale on anything the in-place
-    scheme cannot express).
-    """
-    tag = event.get("e")
-    type_name = event["t"]
-    if tag in ("ai", "am"):
-        store = engine._atom_stores[type_name]
-        identifier = event["id"]
-        atom = Atom(type_name, decode_value(event["v"]), identifier=identifier)
-        store.store(atom)
-        kind = ATOM_INSERTED if tag == "ai" else ATOM_MODIFIED
-        engine._structure_indexes.apply_event(ChangeEvent(kind, type_name, atom=atom))
-        return _surrogate_ordinal(identifier)
-    if tag == "ad":
-        store = engine._atom_stores[type_name]
-        if event["id"] in store:
-            store.delete(event["id"])
-        engine._structure_indexes.apply_event(
-            ChangeEvent(ATOM_DELETED, type_name, atom=Atom(type_name, {}, identifier=event["id"]))
-        )
-        return 0
-    if tag == "lc":
-        link_store = engine._link_stores[type_name]
-        link_store.store(event["f"], event["s"])
-        engine._structure_indexes.apply_event(
-            ChangeEvent(
-                LINK_CONNECTED,
-                type_name,
-                link=Link(
-                    type_name, event["f"], event["s"], link_store.first_type, link_store.second_type
-                ),
-            )
-        )
-        return 0
-    if tag == "ld":
-        link_store = engine._link_stores[type_name]
-        link = Link(
-            type_name, event["f"], event["s"], link_store.first_type, link_store.second_type
-        )
-        link_store.delete(link)
-        engine._structure_indexes.apply_event(
-            ChangeEvent(LINK_DISCONNECTED, type_name, link=link)
-        )
-        return 0
-    raise WalError(f"unknown event tag {tag!r} in commit record")
-
-
 def replay_records(
     engine: "PrimaEngine", records: Iterable[Dict[str, object]], target_generation: int = 0
 ) -> int:
@@ -332,28 +283,23 @@ def replay_records(
     *target_generation*; returns the generation reached.
 
     The one replay routine of recovery, follower seeding, hub catch-up, file
-    polling and process-pool catch-up.  Where the engine has a live
-    snapshot, every commit event replays as the matching mutation on that
-    snapshot, and the engine's change listener folds it into the stores and
-    every derived structure exactly as it folds a live write.  Without one
-    (recovery, seeding, or right after a DDL record dropped the caches)
-    nothing derived exists yet and the store-level primitives apply it.
-    Events the state already reflects are skipped, so double-applied slices
-    are harmless.  The surrogate counter moves past every replayed atom.
+    polling and process-pool catch-up.  Every commit event replays as the
+    matching mutation on the engine's database, and the engine's change
+    listener folds it into every derived structure exactly as it folds a
+    live write.  Events the state already reflects are skipped, so
+    double-applied slices are harmless.  The surrogate counter moves past
+    every replayed atom.
     """
     generation = int(target_generation)
     highest_surrogate = 0
+    database = engine.to_database()
     for record in records:
         kind = record.get("r")
         if kind == "ddl":
             apply_ddl_record(engine, record)
         elif kind == "commit":
-            snapshot = engine._maintainable()
             for event in record.get("events", ()):
-                if snapshot is None:
-                    ordinal = apply_event_record(engine, event)
-                else:
-                    ordinal = _replay_event(snapshot, event)
+                ordinal = _replay_event(database, event)
                 highest_surrogate = max(highest_surrogate, ordinal)
             generation = max(generation, int(record.get("gen", 0)))
         else:
@@ -363,13 +309,13 @@ def replay_records(
     return generation
 
 
-def _replay_event(snapshot: "Database", event: Dict[str, object]) -> int:
-    """Replay one serialized event as a mutation on *snapshot*; returns the
+def _replay_event(database: "Database", event: Dict[str, object]) -> int:
+    """Replay one serialized event as a mutation on *database*; returns the
     surrogate ordinal it introduced (0 for deletes and links)."""
     tag = event.get("e")
     type_name = event["t"]
     if tag in ("ai", "am"):
-        atom_type = snapshot.atyp(type_name)
+        atom_type = database.atyp(type_name)
         atom = Atom(type_name, decode_value(event["v"]), identifier=event["id"])
         current = atom_type.get(atom.identifier)
         if current is None:
@@ -378,12 +324,12 @@ def _replay_event(snapshot: "Database", event: Dict[str, object]) -> int:
             atom_type.replace(atom)
         return _surrogate_ordinal(atom.identifier)
     if tag == "ad":
-        atom_type = snapshot.atyp(type_name)
+        atom_type = database.atyp(type_name)
         if atom_type.get(event["id"]) is not None:
             atom_type.remove(event["id"])
         return 0
     if tag in ("lc", "ld"):
-        link_type = snapshot.ltyp(type_name)
+        link_type = database.ltyp(type_name)
         first_type, second_type = link_type.atom_type_names
         link = Link(type_name, event["f"], event["s"], first_type, second_type)
         if tag == "ld":

@@ -7,15 +7,15 @@ module combines into read scale-out:
 
 * **Seeding.**  A :class:`FollowerEngine` builds its state from the
   primary's durability directory exactly the way a process-pool worker
-  does: load the checkpoint image, replay the WAL tail through the
-  :mod:`repro.storage.recovery` primitives, never write a byte back.
+  does: bulk-load the checkpoint image, replay the WAL tail with
+  :func:`~repro.storage.recovery.replay_records`, never write a byte back.
   Unlike :func:`~repro.storage.recovery.recover`, a torn WAL tail is *not*
   truncated — against a live primary it is an in-flight append, not a
   crash artefact (see :func:`~repro.storage.wal.read_wal`).
 
-* **Tailing.**  Two transports share one apply path,
+* **Tailing.**  Two transports share the same apply path,
   :func:`~repro.storage.recovery.replay_records`, which replays each
-  commit as mutations on the follower's live snapshot so every derived
+  commit as mutations on the follower engine's database so every derived
   structure is maintained in place (see :class:`FollowerEngine`):
 
   - **in-process** — a :class:`ReplicationHub` taps the primary's WAL via
@@ -136,11 +136,11 @@ class FollowerEngine:
     even while records keep applying underneath.
 
     Catch-up is incremental: each applied record replays as mutations on
-    the follower's live snapshot
-    (:func:`~repro.storage.recovery.replay_records`), so its stores,
-    network, index pool, structure indexes, columnar projections and
-    interpreter are maintained in place, as on the primary — nothing is
-    rebuilt per catch-up.  Only a DDL record drops the caches, as DDL does
+    the follower engine's database
+    (:func:`~repro.storage.recovery.replay_records`), so its network,
+    index pool, structure indexes, columnar projections and interpreter are
+    maintained in place, as on the primary — nothing is rebuilt per
+    catch-up.  Only a DDL record drops the derived structures, as DDL does
     on the primary.
     """
 

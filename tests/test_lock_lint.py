@@ -138,6 +138,28 @@ class TestInversionRule:
         )
         assert len(findings) == 1
 
+    def test_module_function_calls_do_not_resolve_to_methods(self):
+        """``os.replace`` under a lock is not a call of ``Store.replace``."""
+        body = """
+    def replace(self):
+        with self._low:
+            pass
+
+    def save(self):
+        with self._high:
+            os.replace("a", "b")
+
+    def bad(self):
+        with self._high:
+            self.replace()
+"""
+        findings = analyze(
+            {"fixture.store": "import os\n" + FIXTURE_HEADER + body}, FIXTURE_REGISTRY
+        )
+        inversions = [finding for finding in findings if finding.rule == "inversion"]
+        assert len(inversions) == 1
+        assert "Store.bad" in inversions[0].message
+
     def test_equal_level_pair_is_an_inversion(self):
         # Same-level (per-instance family) nesting is still non-ascending.
         registry = Registry(
@@ -367,21 +389,28 @@ class TestGuardedWrites:
         assert len(findings) == 1
 
 
+@pytest.fixture(scope="module")
+def package_analysis():
+    """One analysis of the unmodified ``src/repro``: (sources, analysis,
+    lock-order findings).  The seeded-copy tests run their own."""
+    sources = collect_sources(SRC_REPRO)
+    analysis = Analysis(sources)
+    return sources, analysis, analysis.run()
+
+
 class TestSelfTest:
     """src/repro analyzes clean — and detectably so."""
 
-    def test_package_is_clean(self):
-        sources = collect_sources(SRC_REPRO)
+    def test_package_is_clean(self, package_analysis):
+        sources, _analysis, findings = package_analysis
         assert len(sources) > 50  # the whole package, not a subset
-        findings = analyze(sources) + check_guards(sources)
+        findings = findings + check_guards(sources)
         assert findings == [], "\n".join(
             finding.render() for finding in findings
         )
 
-    def test_every_registered_lock_is_constructed(self):
-        sources = collect_sources(SRC_REPRO)
-        analysis = Analysis(sources)
-        analysis.run()
+    def test_every_registered_lock_is_constructed(self, package_analysis):
+        _sources, analysis, _findings = package_analysis
         constructed = {
             literal
             for facts in analysis.modules.values()
@@ -437,6 +466,7 @@ class TestSelfTest:
     def test_seeded_raw_lock_in_engine_copy_is_caught(self):
         sources = collect_sources(SRC_REPRO)
         sources["repro.storage.engine"] += (
+            "\n\nimport threading\n"
             "\n\ndef _lint_rogue_lock():\n"
             "    return threading.Lock()\n"
         )

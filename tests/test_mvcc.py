@@ -400,9 +400,9 @@ class TestMQLTransactions:
         assert next(iter(result)).root_atom["hectare"] != 999
         # Rebuild semantics resume once the session is over.
         engine.query("MODIFY state FROM state - area SET hectare = 7 WHERE state.code = 'S1';")
-        builds = engine.maintenance_statistics()["snapshot_builds"]
+        builds = engine.maintenance_statistics()["interpreter_builds"]
         engine.query("SELECT ALL FROM state-area WHERE state.code = 'S1';")
-        assert engine.maintenance_statistics()["snapshot_builds"] == builds + 1
+        assert engine.maintenance_statistics()["interpreter_builds"] == builds + 1
 
     def test_pin_during_uncommitted_transaction_sees_clean_state(self):
         """Regression: a snapshot pinned while another transaction holds
@@ -631,3 +631,41 @@ class TestPinRefcounting:
         report = engine.maintenance_report()
         assert report["pins_active"] == 0
         assert engine.maintenance_report()["versions_live"] == 0
+
+
+class TestCommittedHeadReads:
+    """Head reads outside the reader's own session see committed state only.
+
+    A second interpreter over ``engine.to_database()`` holds an uncommitted
+    MODIFY; the engine's basic-interface lookup and an unpinned
+    ``engine.query`` must not observe it until it commits.
+    """
+
+    QUERY = "SELECT ALL FROM state WHERE state.code = 'S1';"
+    MODIFY = "MODIFY state FROM state SET hectare = 4242 WHERE state.code = 'S1';"
+
+    def hectares(self, engine):
+        looked_up = [atom["hectare"] for atom in engine.lookup("state", "code", "S1")]
+        queried = [molecule.root_atom["hectare"] for molecule in engine.query(self.QUERY)]
+        return looked_up, queried
+
+    def open_session(self):
+        engine = PrimaEngine.from_database(build_geography())
+        other = MQLInterpreter(engine.to_database())
+        other.execute("BEGIN WORK;")
+        other.execute(self.MODIFY)
+        return engine, other
+
+    def test_uncommitted_modify_is_invisible_until_rollback(self):
+        engine, other = self.open_session()
+        assert self.hectares(engine) == ([137], [137])
+        assert engine.get_atom("state", "S1")["hectare"] == 137
+        other.execute("ROLLBACK WORK;")
+        assert self.hectares(engine) == ([137], [137])
+
+    def test_modify_becomes_visible_only_at_commit(self):
+        engine, other = self.open_session()
+        assert self.hectares(engine) == ([137], [137])
+        other.execute("COMMIT WORK;")
+        assert self.hectares(engine) == ([4242], [4242])
+        assert engine.get_atom("state", "S1")["hectare"] == 4242

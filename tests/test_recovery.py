@@ -149,14 +149,15 @@ WORKLOAD: Tuple[Callable, ...] = (
 
 
 def store_state(engine: PrimaEngine) -> str:
-    """A byte-stable fingerprint of the engine's stores (the durable truth)."""
+    """A byte-stable fingerprint of the engine's committed database (the durable truth)."""
+    database = engine.to_database()
     atoms = {
-        name: {atom.identifier: atom.values for atom in store}
-        for name, store in engine._atom_stores.items()
+        atom_type.name: {atom.identifier: atom.values for atom in atom_type}
+        for atom_type in database.atom_types
     }
     links = {
-        name: sorted(sorted(link.given_order) for link in store)
-        for name, store in engine._link_stores.items()
+        link_type.name: sorted(sorted(link.given_order) for link in link_type)
+        for link_type in database.link_types
     }
     return json.dumps({"atoms": atoms, "links": links}, sort_keys=True, default=str)
 

@@ -511,7 +511,8 @@ class TestIncrementalCatchUp:
         hub.ship(follower)
         stats = follower.engine.maintenance_statistics()
         assert stats["invalidations"] == invalidations + 1
-        assert stats["snapshot_builds"] == 2  # rebuilt once, after the DDL
+        assert stats["interpreter_builds"] == 2  # rebuilt once, after the DDL
+        assert stats["snapshot_builds"] == 1  # the database itself never is
 
     def test_poll_is_incremental(self, fresh_engine):
         follower = FollowerEngine(fresh_engine.durability.directory)

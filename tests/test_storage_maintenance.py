@@ -155,8 +155,8 @@ class TestEngineMaintenance:
             prima.store_atom("state", identifier=f"S{i}", name=f"S{i}", code=f"S{i}", hectare=i)
             prima.query("SELECT ALL FROM state-area WHERE state.code = 'SP';")
         report = prima.maintenance_statistics()
-        assert report["snapshot_builds"] == 4
         assert report["interpreter_builds"] == 4
+        assert report["network_builds"] == 4
 
     def test_modes_agree_on_query_results(self):
         statements = [
@@ -221,7 +221,7 @@ class TestEngineMaintenance:
         assert engine.generation == generation + 1
 
     def test_rejected_link_leaves_store_and_snapshot_agreeing(self):
-        """Regression: a cardinality rejection must undo the store write too."""
+        """Regression: a cardinality rejection leaves no link behind."""
         from repro.core.link import Cardinality
         from repro.exceptions import CardinalityError
 
@@ -232,20 +232,39 @@ class TestEngineMaintenance:
         first = engine.store_atom("a", x=1)
         one = engine.store_atom("b", x=1)
         other = engine.store_atom("b", x=2)
-        engine.to_database()  # live snapshot: cardinality enforced on mirror
+        engine.to_database()  # a warm engine (the cold one has its own test)
         engine.connect("ab", first, one)
         with pytest.raises(CardinalityError):
             engine.connect("ab", first, other)
         assert engine.neighbours("ab", first.identifier) == (one.identifier,)
         assert len(engine.to_database().ltyp("ab")) == 1
 
-    def test_write_through_stale_handle_reaches_the_stores(self, prima):
-        """Regression: DML through a handle invalidated by DDL must not be lost.
+    def test_cardinality_enforced_before_any_query(self):
+        """Regression: a clashing 1:1 connect on an engine that has run no
+        query yet is rejected, and the engine keeps answering afterwards."""
+        from repro.core.link import Cardinality
+        from repro.exceptions import CardinalityError
 
-        The discarded snapshot stays subscribed — writes through it still
-        mirror into the stores, they just degrade to invalidate-on-next-read
-        instead of incremental maintenance.
-        """
+        engine = PrimaEngine("fresh")
+        engine.create_atom_type("a", {"x": "integer"})
+        engine.create_atom_type("b", {"x": "integer"})
+        engine.create_link_type("ab", "a", "b", cardinality=Cardinality.ONE_TO_ONE)
+        first = engine.store_atom("a", x=1)
+        one = engine.store_atom("b", x=1)
+        other = engine.store_atom("b", x=2)
+        engine.connect("ab", first, one)
+        with pytest.raises(CardinalityError):
+            engine.connect("ab", first, other)
+        assert engine.neighbours("ab", first.identifier) == (one.identifier,)
+        result = engine.query("SELECT ALL FROM a - b;")
+        assert [sorted(molecule.atom_identifiers) for molecule in result] == [
+            sorted((first.identifier, one.identifier))
+        ]
+        assert len(engine.to_database().ltyp("ab")) == 1
+
+    def test_write_through_stale_handle_reaches_the_stores(self, prima):
+        """Regression: DML through an interpreter dropped by DDL must not be
+        lost — it still writes the engine's one database."""
         held = prima.interpreter()
         prima.create_atom_type("annotation", {"text": "string"})  # DDL invalidates
         held.execute(
